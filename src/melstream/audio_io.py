@@ -6,10 +6,10 @@ integer PCM (16, 24 or 32 bit) or IEEE float32 payloads are accepted,
 with 1 to 8 channels. Multichannel audio is mixed down by averaging the
 channels, then resampled to the requested rate.
 
-Resampling uses a windowed-sinc kernel (Kaiser window, 80 dB design)
-evaluated directly at each output position. Filter rows are normalized
-to unit sum, so a constant signal stays exactly constant at any rate
-pair, including at the edges.
+Resampling uses a windowed-sinc kernel (Kaiser window, 80 dB design) in
+polyphase form, evaluated once per distinct phase of each output block.
+Filter rows are normalized to unit sum, so a constant signal stays
+exactly constant at any rate pair, including at the edges.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CorruptHeader, EmptyAudio, UnsupportedFormat
 
@@ -32,7 +33,7 @@ _MAX_CHANNELS = 8
 # smaller Nyquist treated as guaranteed passband.
 _STOP_ATTEN_DB = 80.0
 _PASSBAND_FRACTION = 0.45
-_RESAMPLE_BLOCK = 1 << 16
+_RESAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -175,25 +176,31 @@ def _kernel_design(source: int, target: int):
 
 
 def _resample_sinc(x: np.ndarray, source: int, target: int) -> np.ndarray:
-    n_out = int(round(x.size * target / source))
-    if n_out <= 0:
-        return np.empty(0)
     cutoff, beta, half = _kernel_design(source, target)
-    step = source / target
-    i0_beta = np.i0(beta)
-    out = np.empty(n_out)
-    offsets = np.arange(-half, half + 2, dtype=np.int64)
-    for start in range(0, n_out, _RESAMPLE_BLOCK):
-        j = np.arange(start, min(start + _RESAMPLE_BLOCK, n_out), dtype=np.float64)
-        pos = j * step
-        idx = np.floor(pos).astype(np.int64)[:, None] + offsets[None, :]
-        tau = pos[:, None] - idx
-        inside = np.abs(tau) <= half
-        win_arg = np.clip(1.0 - (tau / half) ** 2, 0.0, None)
-        taps = np.sinc(2.0 * cutoff * tau) * (np.i0(beta * np.sqrt(win_arg)) / i0_beta)
-        taps *= inside & (idx >= 0) & (idx < x.size)
-        gathered = x[np.clip(idx, 0, x.size - 1)]
-        out[start:start + j.size] = (gathered * taps).sum(axis=1) / taps.sum(axis=1)
+    g = np.gcd(source, target)
+    up, down = target // g, source // g
+    offsets = np.arange(-half, half + 1, dtype=np.int64)
+    out = np.empty(int(round(x.size * target / source)))
+    table_phases = None
+    for start in range(0, out.size, _RESAMPLE_BLOCK):
+        # Output j reads sample j * down // up at phase j * down % up: exact,
+        # where flooring a float position can land one sample off.
+        base, phase = np.divmod(np.arange(start, min(start + _RESAMPLE_BLOCK, out.size),
+                                          dtype=np.int64) * down, up)
+        phases, row = np.unique(phase, return_inverse=True)
+        if not np.array_equal(phases, table_phases):  # full blocks share them when up <= block
+            table_phases, tau = phases, phases[:, None] / up - offsets
+            win_arg = np.clip(1.0 - (tau / half) ** 2, 0.0, None)
+            table = np.sinc(2.0 * cutoff * tau) * (np.i0(beta * np.sqrt(win_arg)) / np.i0(beta))
+            table *= np.abs(tau) <= half
+        taps = table[row]
+        if base[0] >= half and base[-1] + half < x.size:  # all windows inside x: a view
+            gathered = sliding_window_view(x[base[0] - half:], offsets.size)[base - base[0]]
+        else:
+            idx = base[:, None] + offsets
+            gathered = np.take(x, idx, mode="clip")
+            taps *= (idx >= 0) & (idx < x.size)
+        out[start:start + base.size] = np.einsum("ij,ij->i", gathered, taps) / taps.sum(axis=1)
     return out
 
 

@@ -186,14 +186,15 @@ def cmd_predict(args) -> int:
     if args.stream:
         if args.audio:
             raise ConfigError("--stream reads from stdin; drop the audio argument")
-        raw = sys.stdin.buffer.read()
-        if len(raw) % 4:
-            raise AudioIOError(f"stdin held {len(raw)} bytes, not a whole number of float32")
-        samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         pipe = StreamPipeline(model=graph, sample_rate=graph.sample_rate)
-        rows = []
-        for start in range(0, samples.size, _STREAM_CHUNK):
-            rows.append(pipe.push(samples[start:start + _STREAM_CHUNK]).patch_outputs)
+        rows, carry = [], b""  # carry: bytes of a float32 split across two reads
+        while block := sys.stdin.buffer.read1(4 * _STREAM_CHUNK):
+            raw = carry + block
+            whole = len(raw) - len(raw) % 4
+            carry = raw[whole:]
+            rows.append(pipe.push(np.frombuffer(raw[:whole], dtype="<f4")).patch_outputs)
+        if carry:
+            raise AudioIOError(f"stdin ended {len(carry)} bytes into a float32 sample")
         rows.append(pipe.flush().patch_outputs)
         per_patch = np.concatenate([r for r in rows if r.size] or [np.empty((0, 0))])
         if per_patch.shape[0] == 0:

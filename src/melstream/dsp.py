@@ -221,16 +221,6 @@ def frame_count(n_samples: int, frame_size: int, hop_size: int) -> int:
     return (n_samples - frame_size) // hop_size + 1
 
 
-def frame_signal(samples: np.ndarray, frame_size: int, hop_size: int) -> np.ndarray:
-    """Slice a 1-D signal into (T, frame_size) rows; the tail is dropped."""
-    x = np.asarray(samples, dtype=np.float64)
-    t = frame_count(x.size, frame_size, hop_size)
-    out = np.empty((t, frame_size))
-    for i in range(t):
-        out[i] = x[i * hop_size:i * hop_size + frame_size]
-    return out
-
-
 def power_spectrum(frame: np.ndarray, window: str = "rectangular",
                    fft_size: int | None = None, spectrum_type: str = "power") -> np.ndarray:
     """Windowed, zero-padded spectrum of one frame (fft_size // 2 + 1 bins)."""

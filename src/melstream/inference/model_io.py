@@ -71,9 +71,9 @@ def read_weights(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", data, offset)
             offset += 2
-            name = data[offset:offset + name_len].decode("utf-8")
             if len(data) < offset + name_len:
                 raise ModelLoadError("weights file truncated inside a name")
+            name = data[offset:offset + name_len].decode("utf-8")
             offset += name_len
             (rank,) = struct.unpack_from("<B", data, offset)
             offset += 1
@@ -90,6 +90,8 @@ def read_weights(path) -> dict[str, np.ndarray]:
             offset = end
     except struct.error:
         raise ModelLoadError("weights file truncated") from None
+    except UnicodeDecodeError:
+        raise ModelLoadError("weight name is not valid UTF-8") from None
     if len(weights) != count:
         raise ModelLoadError("duplicate weight names in weights file")
     return weights

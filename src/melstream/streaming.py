@@ -135,7 +135,7 @@ class StreamPipeline:
             self._patch_to_input = patch_to_input
             self._frames = RingBuffer(capacity_factor * model.patch_frames, config.n_mels)
         self._flushed = False
-        self._push_seconds: list[float] = []
+        self._pushes, self._push_total, self._push_min, self._push_max = 0, 0.0, float("inf"), 0.0
         self.frames_emitted = 0
         self.patches_emitted = 0
 
@@ -185,7 +185,11 @@ class StreamPipeline:
             progressed = self._drain(frames, patches)
             if i >= chunk.size and not progressed:
                 break
-        self._push_seconds.append(time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        self._pushes += 1
+        self._push_total += elapsed
+        self._push_min = min(self._push_min, elapsed)
+        self._push_max = max(self._push_max, elapsed)
         return self._result(frames, patches)
 
     def flush(self) -> PushResult:
@@ -200,20 +204,16 @@ class StreamPipeline:
 
     def latency_report(self) -> LatencyReport:
         """Algorithmic latency plus wall-time stats over the pushes so far."""
-        if not self._push_seconds:
+        if not self._pushes:
             raise ValueError("latency_report needs at least one processed chunk")
         cfg = self.config
         if self.model is None:
             latency = cfg.frame_size
         else:
             latency = cfg.frame_size + (self.model.patch_frames - 1) * cfg.hop_size
-        times = np.asarray(self._push_seconds)
         return LatencyReport(
             algorithmic_latency=latency,
-            per_chunk_wall_time={
-                "min": float(times.min()),
-                "mean": float(times.mean()),
-                "max": float(times.max()),
-                "chunks": int(times.size),
-            },
+            per_chunk_wall_time={"min": self._push_min,
+                                 "mean": self._push_total / self._pushes,
+                                 "max": self._push_max, "chunks": self._pushes},
         )

@@ -119,6 +119,37 @@ def ref_mel_spectrogram(x: np.ndarray, sample_rate: int, frame_size: int,
     return np.stack(rows)
 
 
+# -- resampling ---------------------------------------------------------------
+
+def ref_resample(x: np.ndarray, source: int, target: int) -> np.ndarray:
+    """Windowed-sinc resampling evaluated directly at every output position.
+
+    80 dB Kaiser design with the transition band from 0.45 to 1.0 of the
+    smaller Nyquist. Output j sits at input position j * source / target
+    (a float, so the position drifts by rounding as j grows); the taps
+    that fall outside the signal are dropped and each row is divided by
+    its tap sum. Output length is round(len(x) * target / source).
+    """
+    atten_db, passband_fraction = 80.0, 0.45
+    low = min(source, target)
+    pass_hz = passband_fraction * (low / 2.0)
+    stop_hz = low / 2.0
+    cutoff = (pass_hz + stop_hz) / 2.0 / source
+    width = (stop_hz - pass_hz) / source
+    beta = 0.1102 * (atten_db - 8.7)
+    half = max(int(np.ceil((atten_db - 8.0) / (2.285 * 2.0 * np.pi * width))) // 2, 4)
+
+    n_out = int(round(x.size * target / source))
+    pos = np.arange(n_out, dtype=np.float64) * (source / target)
+    idx = np.floor(pos).astype(np.int64)[:, None] + np.arange(-half, half + 2)[None, :]
+    tau = pos[:, None] - idx
+    win_arg = np.clip(1.0 - (tau / half) ** 2, 0.0, None)
+    taps = np.sinc(2.0 * cutoff * tau) * (np.i0(beta * np.sqrt(win_arg)) / np.i0(beta))
+    taps *= (np.abs(tau) <= half) & (idx >= 0) & (idx < x.size)
+    gathered = x[np.clip(idx, 0, x.size - 1)]
+    return (gathered * taps).sum(axis=1) / taps.sum(axis=1)
+
+
 # -- neural ops (nested loops, float64) ---------------------------------------
 
 def ref_conv2d(x, kernel, bias, stride, padding):

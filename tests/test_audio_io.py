@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import melstream as ms
+from melstream import audio_io
 from melstream.errors import CorruptHeader, EmptyAudio, UnsupportedFormat
 
+from oracles import ref_resample
 from util import tone
 
 
@@ -172,6 +174,39 @@ class TestResampler:
         out = ms.resample(ms.AudioBuffer(x, sr_in), sr_out).samples
         interior = out[1000:-1000]
         assert np.sqrt(np.mean(interior ** 2)) < 0.01
+
+    # Pairs from the constant test plus a coprime one (up = 16000 phases).
+    # 2 s keeps the oracle's float positions j * source / target from
+    # drifting away from the exact ones as j grows.
+    @pytest.mark.parametrize("source,target", [
+        (44100, 16000), (48000, 16000), (16000, 44100), (22050, 16000),
+        (8000, 16000), (16000, 12000), (44101, 16000),
+    ])
+    def test_matches_direct_oracle(self, source, target):
+        x = np.random.default_rng(source + target).standard_normal(2 * source)
+        out = ms.resample(ms.AudioBuffer(x, source), target).samples
+        ref = ref_resample(x, source, target)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) < 1e-10
+
+    @pytest.mark.parametrize("source,target", [(44100, 16000), (16000, 44100), (44101, 16000)])
+    def test_input_shorter_than_kernel_matches_oracle(self, source, target):
+        x = np.random.default_rng(7).standard_normal(7)
+        out = ms.resample(ms.AudioBuffer(x, source), target).samples
+        assert np.max(np.abs(out - ref_resample(x, source, target))) < 1e-10
+
+    @pytest.mark.parametrize("source,target", [(44100, 16000), (16000, 44100), (44101, 16000)])
+    def test_output_independent_of_block_size(self, monkeypatch, source, target):
+        # Bit-identical rows for any blocking: what a chunked resampler
+        # needs to agree with the offline one. 4500 outputs: more than
+        # one 4096-output block.
+        x = np.random.default_rng(3).standard_normal(4500 * source // target)
+        outs = []
+        for block in (1, 7, 4096, 65536):
+            monkeypatch.setattr(audio_io, "_RESAMPLE_BLOCK", block)
+            outs.append(ms.resample(ms.AudioBuffer(x, source), target).samples)
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
 
 
 class TestAudioBuffer:

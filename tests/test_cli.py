@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import melstream as ms
-from melstream.cli import _resolve_jobs, _resolve_seed, main
+from melstream.cli import _STREAM_CHUNK, _resolve_jobs, _resolve_seed, main
 from melstream.errors import ConfigError
 from melstream.inference.model_io import read_weights
 
@@ -192,6 +192,28 @@ class TestPredict:
         assert streamed["scores"] == offline["scores"]
         assert streamed["n_patches"] == offline["n_patches"]
 
+    def test_stream_spanning_blocks_and_short_reads(self, capsys, monkeypatch, tiny_model,
+                                                    tmp_path):
+        graph, manifest, weights = tiny_model
+        wav = tmp_path / "t.wav"
+        write_tone_wav(wav, 800.0, 30.0, sr=8000)
+        offline = run_json(capsys, "predict", str(wav), "--model", manifest,
+                           "--weights", weights)
+        raw = ms.load_pcm(str(wav), graph.sample_rate).samples.astype("<f4").tobytes()
+        assert len(raw) > 3 * 4 * _STREAM_CHUNK
+
+        class ShortReads(io.BytesIO):
+            """Returns at most 1001 bytes per read, splitting float32 samples."""
+
+            def read1(self, size=-1):
+                return super().read1(min(size, 1001))
+
+        for buffer in (io.BytesIO(raw), ShortReads(raw)):
+            monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": buffer})())
+            streamed = run_json(capsys, "predict", "--stream", "--model", manifest,
+                                "--weights", weights)
+            assert streamed == offline
+
     def test_stream_rejects_audio_argument(self, capsys, tiny_model, tone_wav):
         _, manifest, weights = tiny_model
         code, _, _ = run(capsys, "predict", tone_wav, "--stream",
@@ -231,6 +253,15 @@ class TestPredict:
         w.write_bytes(b"MSTW" + b"\x00" * 8)
         code, _, _ = run(capsys, "predict", tone_wav, "--model", str(m),
                          "--weights", str(w))
+        assert code == 4
+
+    def test_invalid_utf8_weight_name_exits_4(self, capsys, tone_wav, tiny_model):
+        _, manifest, weights = tiny_model
+        with open(weights, "r+b") as f:
+            f.seek(4 + 8 + 2)  # magic, version and count, first name length
+            f.write(b"\xff")
+        code, _, _ = run(capsys, "predict", tone_wav, "--model", manifest,
+                         "--weights", weights)
         assert code == 4
 
     def test_unlabeled_model_rejected(self, capsys, tmp_path):

@@ -90,6 +90,22 @@ class TestWeightsBinary:
         with pytest.raises(ModelLoadError):
             read_weights(p)
 
+    def test_name_cut_short_by_eof(self, tmp_path):
+        # The cut splits the two-byte "é": the length check comes before decoding.
+        data = encode_weights({"aé": np.ones(3, dtype=np.float32)})
+        p = tmp_path / "w.bin"
+        p.write_bytes(data[: 4 + 8 + 2 + 2])
+        with pytest.raises(ModelLoadError, match="inside a name"):
+            read_weights(p)
+
+    def test_invalid_utf8_name(self, tmp_path):
+        data = bytearray(encode_weights({"x": np.ones(2, dtype=np.float32)}))
+        data[4 + 8 + 2] = 0xFF
+        p = tmp_path / "w.bin"
+        p.write_bytes(bytes(data))
+        with pytest.raises(ModelLoadError):
+            read_weights(p)
+
     def test_duplicate_names_rejected(self, tmp_path):
         one = encode_weights({"x": np.ones(2, dtype=np.float32)})
         entry = one[12:]

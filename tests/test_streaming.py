@@ -203,6 +203,23 @@ class TestLatency:
         # 512 samples for the first frame, then 185 further hops of 256
         assert pipe.latency_report().algorithmic_latency == 512 + 185 * 256 == 47872
 
+    def test_push_stats_do_not_grow_with_pushes(self):
+        pipe = ms.StreamPipeline(config=ms.preset("vgg-64"), sample_rate=16000)
+
+        def sizes():
+            return {k: len(v) for k, v in vars(pipe).items() if hasattr(v, "__len__")}
+
+        for _ in range(10):
+            pipe.push(np.zeros(16))
+        before = sizes()
+        for _ in range(10 ** 4 - 10):
+            pipe.push(np.zeros(16))
+        assert sizes() == before
+        wall = pipe.latency_report().per_chunk_wall_time
+        assert wall["chunks"] == 10 ** 4
+        assert 0.0 <= wall["min"] <= wall["max"]
+        assert wall["min"] * (1 - 1e-9) <= wall["mean"] <= wall["max"] * (1 + 1e-9)
+
     def test_report_requires_a_push(self):
         pipe = ms.StreamPipeline(config=ms.preset("vgg-64"), sample_rate=16000)
         with pytest.raises(ValueError):
