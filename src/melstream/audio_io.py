@@ -180,6 +180,10 @@ def _resample_sinc(x: np.ndarray, source: int, target: int) -> np.ndarray:
     g = np.gcd(source, target)
     up, down = target // g, source // g
     offsets = np.arange(-half, half + 1, dtype=np.int64)
+    # Window k covers x[k - half : k + half + 1], zero-padded outside x;
+    # inside marks which of those taps fall within x.
+    windows = sliding_window_view(np.pad(x, half), offsets.size)
+    inside = sliding_window_view(np.pad(np.ones(x.size), half), offsets.size)
     out = np.empty(int(round(x.size * target / source)))
     table_phases = None
     for start in range(0, out.size, _RESAMPLE_BLOCK):
@@ -194,13 +198,9 @@ def _resample_sinc(x: np.ndarray, source: int, target: int) -> np.ndarray:
             table = np.sinc(2.0 * cutoff * tau) * (np.i0(beta * np.sqrt(win_arg)) / np.i0(beta))
             table *= np.abs(tau) <= half
         taps = table[row]
-        if base[0] >= half and base[-1] + half < x.size:  # all windows inside x: a view
-            gathered = sliding_window_view(x[base[0] - half:], offsets.size)[base - base[0]]
-        else:
-            idx = base[:, None] + offsets
-            gathered = np.take(x, idx, mode="clip")
-            taps *= (idx >= 0) & (idx < x.size)
-        out[start:start + base.size] = np.einsum("ij,ij->i", gathered, taps) / taps.sum(axis=1)
+        # Each row is divided by the sum of its taps inside x, so edges keep constants constant.
+        out[start:start + base.size] = (np.einsum("ij,ij->i", windows[base], taps)
+                                        / np.einsum("ij,ij->i", inside[base], taps))
     return out
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -181,38 +182,36 @@ class TestPredict:
     def test_stream_matches_offline(self, capsys, monkeypatch, tiny_model, tmp_path):
         graph, manifest, weights = tiny_model
         wav = tmp_path / "t.wav"
-        write_tone_wav(wav, 800.0, 1.0, sr=8000)
-        offline = run_json(capsys, "predict", str(wav), "--model", manifest,
-                           "--weights", weights)
-        samples = ms.load_pcm(str(wav), graph.sample_rate).samples
-        raw = samples.astype("<f4").tobytes()
-        monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(raw)})())
-        streamed = run_json(capsys, "predict", "--stream", "--model", manifest,
-                            "--weights", weights)
-        assert streamed["scores"] == offline["scores"]
-        assert streamed["n_patches"] == offline["n_patches"]
-
-    def test_stream_spanning_blocks_and_short_reads(self, capsys, monkeypatch, tiny_model,
-                                                    tmp_path):
-        graph, manifest, weights = tiny_model
-        wav = tmp_path / "t.wav"
         write_tone_wav(wav, 800.0, 30.0, sr=8000)
         offline = run_json(capsys, "predict", str(wav), "--model", manifest,
                            "--weights", weights)
         raw = ms.load_pcm(str(wav), graph.sample_rate).samples.astype("<f4").tobytes()
         assert len(raw) > 3 * 4 * _STREAM_CHUNK
 
-        class ShortReads(io.BytesIO):
-            """Returns at most 1001 bytes per read, splitting float32 samples."""
+        class Pipe(io.BytesIO):
+            """Stdin without read-all that serves at most ``cap`` bytes per read1."""
+
+            def __init__(self, data, cap):
+                super().__init__(data)
+                self.cap = cap
+
+            def read(self, size=-1):
+                raise AssertionError("stdin must be read in blocks")
 
             def read1(self, size=-1):
-                return super().read1(min(size, 1001))
+                return super().read1(min(size, self.cap))
 
-        for buffer in (io.BytesIO(raw), ShortReads(raw)):
-            monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": buffer})())
+        consumed = []  # stdin bytes read when each push starts
+        real_push = ms.StreamPipeline.push
+        monkeypatch.setattr(ms.StreamPipeline, "push", lambda pipe, x: (
+            consumed.append(sys.stdin.buffer.tell()) or real_push(pipe, x)))
+        for cap in (len(raw), 1001):  # whole blocks; short reads splitting float32 samples
+            consumed.clear()
+            monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": Pipe(raw, cap)})())
             streamed = run_json(capsys, "predict", "--stream", "--model", manifest,
                                 "--weights", weights)
             assert streamed == offline
+            assert consumed[0] < len(raw)  # pushing began before stdin ended
 
     def test_stream_rejects_audio_argument(self, capsys, tiny_model, tone_wav):
         _, manifest, weights = tiny_model
