@@ -20,14 +20,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .audio_io import load_pcm, resample
+from .audio_io import load_pcm
 from .dsp import (MEL_SCALES, PRESET_SAMPLE_RATE, PRESETS, SPECTRUM_TYPES,
                   WINDOWS, MelConfig, mel_spectrogram, preset)
 from .errors import (AudioIOError, ConfigError, DegenerateDataset, EvalError,
@@ -35,10 +34,9 @@ from .errors import (AudioIOError, ConfigError, DegenerateDataset, EvalError,
                      TrackTooShort, TrainingError)
 from .evaluation import (cross_collection_eval, crossval_run, load_dataset,
                          load_taxonomy)
-from .inference.graph import forward
 from .inference.model_io import encode_weights, load_model, save_model
-from .inference.prediction import (patch_to_input, predict, tile_patches,
-                                   top_label)
+from .inference.prediction import (aggregate, embed_patches, predict,
+                                   run_patches, tile_patches, top_label)
 from .streaming import StreamPipeline
 from .transfer import (HeadSpec, TrainSpec, export_head, extract_embeddings,
                        train_head)
@@ -110,21 +108,6 @@ def _resolve_seed(text: str) -> int:
         raise ConfigError(f"--seed must be an integer or 'random', got {text!r}") from None
 
 
-def _resolve_jobs(requested: int) -> int:
-    if requested < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {requested}")
-    cap_text = os.environ.get("MELSTREAM_THREADS")
-    if cap_text:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            raise ConfigError(
-                f"MELSTREAM_THREADS must be an integer, got {cap_text!r}") from None
-        if cap >= 1:
-            requested = min(requested, cap)
-    return requested
-
-
 def _reproducibility(seed: int, params: dict) -> dict:
     blob = json.dumps(_jsonable(params), sort_keys=True, default=str).encode()
     return {"seed": seed, "config_hash": hashlib.sha256(blob).hexdigest()[:12],
@@ -174,13 +157,6 @@ def cmd_melspec(args) -> int:
     return 0
 
 
-def _aggregate(per_patch: np.ndarray, aggregation: str) -> np.ndarray:
-    if aggregation == "mean":
-        agg = per_patch.mean(axis=0)
-        return np.clip(agg, per_patch.min(axis=0), per_patch.max(axis=0))
-    return per_patch.max(axis=0)
-
-
 def cmd_predict(args) -> int:
     graph = load_model(args.model, args.weights)
     if args.stream:
@@ -201,7 +177,7 @@ def cmd_predict(args) -> int:
             raise TrackTooShort("stream ended before one full patch of audio arrived")
         if not graph.labels:
             raise ValueError("model has no labels; it is a feature extractor")
-        aggregated = _aggregate(per_patch, args.aggregation)
+        aggregated = aggregate(per_patch, args.aggregation)
         labels = graph.labels
         n_patches = per_patch.shape[0]
     else:
@@ -226,17 +202,8 @@ def cmd_predict(args) -> int:
 
 def cmd_embed(args) -> int:
     graph = load_model(args.model, args.weights)
-    buf = load_pcm(args.audio, graph.sample_rate)
-    if buf.sample_rate != graph.sample_rate:
-        buf = resample(buf, graph.sample_rate)
-    try:
-        mel = mel_spectrogram(buf, graph.feature_config)
-    except SignalTooShort as e:
-        raise TrackTooShort(str(e)) from None
-    patches = tile_patches(mel.frames, graph.patch_frames,
-                           pad_short=not args.no_pad_short)
-    rows = np.stack([forward(graph, patch_to_input(p, graph), graph.embedding_name).ravel()
-                     for p in patches])
+    rows = embed_patches(graph, load_pcm(args.audio, graph.sample_rate),
+                         pad_short=not args.no_pad_short)
     _emit_matrix(rows, args.format, args.output, "embeddings",
                  extra={"layer": graph.embedding_name})
     return 0
@@ -294,12 +261,11 @@ def cmd_train_head(args) -> int:
 
 def cmd_crossval(args) -> int:
     seed = _resolve_seed(args.seed)
-    jobs = _resolve_jobs(args.jobs)
     graph = load_model(args.model, args.weights)
     dataset = load_dataset(args.dataset)
     spec = _head_spec(args, len(dataset.classes))
     train = _train_spec(args, seed)
-    report = crossval_run(dataset, graph, spec, train, k=args.folds, jobs=jobs)
+    report = crossval_run(dataset, graph, spec, train, k=args.folds)
     payload = {
         "balanced_accuracy": report.balanced_accuracy,
         "stdev_across_folds": report.stdev_across_folds,
@@ -308,7 +274,6 @@ def cmd_crossval(args) -> int:
         "n_evaluated": report.n_evaluated,
         "n_discarded": report.n_discarded,
         "folds": args.folds,
-        "jobs": jobs,
         "reproducibility": _reproducibility(seed, {
             "command": "crossval", "dataset": args.dataset, "model": args.model,
             "variant": args.variant, "hidden": args.hidden, "folds": args.folds,
@@ -362,26 +327,20 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     graph = load_model(args.model, args.weights)
     buf = load_pcm(args.audio, graph.sample_rate)
-    mel = mel_spectrogram(buf, graph.feature_config)
-    inputs = [patch_to_input(p, graph)
-              for p in tile_patches(mel.frames, graph.patch_frames)]
-
-    def run_inference():
-        for x in inputs:
-            forward(graph, x)
-
+    patches = tile_patches(mel_spectrogram(buf, graph.feature_config).frames,
+                           graph.patch_frames)
     phases = {
         "model_load": _timed(lambda: load_model(args.model, args.weights), args.trials),
         "feature_extraction": _timed(lambda: mel_spectrogram(buf, graph.feature_config),
                                      args.trials),
-        "inference": _timed(run_inference, args.trials),
+        "inference": _timed(lambda: run_patches(graph, patches), args.trials),
         "end_to_end": _timed(
             lambda: predict(graph, load_pcm(args.audio, graph.sample_rate)), args.trials),
     }
     payload = {
         "audio_seconds": buf.duration,
         "trials": args.trials,
-        "n_patches": len(inputs),
+        "n_patches": len(patches),
         "phases": phases,
         "real_time_factor": phases["end_to_end"]["mean_s"] / buf.duration,
     }
@@ -469,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--seed", default="42", help="integer or 'random'")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel fold threads; capped by MELSTREAM_THREADS")
     p.add_argument("--output")
     p.set_defaults(func=cmd_crossval)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -326,8 +326,3 @@ def mel_spectrogram(buf: AudioBuffer, config: MelConfig) -> MelSpectrogram:
         seg = x[i * config.hop_size:i * config.hop_size + config.frame_size]
         out[i] = _mel_frame(seg, window, config.fft_size, fb, config.spectrum_type, compress)
     return MelSpectrogram(out, config, buf.sample_rate)
-
-
-def replace_config(config: MelConfig, **changes) -> MelConfig:
-    """dataclasses.replace with config validation."""
-    return replace(config, **changes)

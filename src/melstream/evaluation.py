@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -335,12 +334,12 @@ def cross_collection_eval(predictor, external: DatasetManifest, taxonomy: Taxono
 
 
 def crossval_run(dataset: DatasetManifest, backbone, head_spec, train_spec,
-                 k: int = 5, table=None, jobs: int = 1) -> EvalReport:
+                 k: int = 5, table=None) -> EvalReport:
     """K-fold cross-validation of a transfer head on frozen embeddings.
 
     Embeddings are extracted once (or supplied via ``table``); each fold
     trains a head on the other folds with seed ``train_spec.seed + i``
-    and predicts the held-out tracks. Folds can run in parallel threads.
+    and predicts the held-out tracks.
     """
     from dataclasses import replace as dc_replace
 
@@ -355,26 +354,15 @@ def crossval_run(dataset: DatasetManifest, backbone, head_spec, train_spec,
         raise NoEvaluableTracks("no track produced embeddings")
     folds = stratified_kfold(labels, k, train_spec.seed)
 
-    def run_fold(i: int):
-        held = folds[i]
+    truth: dict[str, tuple[str, ...]] = {}
+    predicted: dict[str, str] = {}
+    fold_scores = []
+    for i, held in enumerate(folds):
         train_labels = {t: c for t, c in labels.items() if t not in set(held)}
         weights = train_head(table, train_labels,
                              head_spec, dc_replace(train_spec, seed=train_spec.seed + i))
         preds = classify_tracks(weights, table, held)
         fold_truth = {t: (labels[t],) for t in held}
-        return fold_truth, preds
-
-    results = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_fold, range(k)))
-    else:
-        results = [run_fold(i) for i in range(k)]
-
-    truth: dict[str, tuple[str, ...]] = {}
-    predicted: dict[str, str] = {}
-    fold_scores = []
-    for fold_truth, preds in results:
         truth.update(fold_truth)
         predicted.update(preds)
         fold_scores.append(balanced_accuracy(fold_truth, preds))

@@ -48,24 +48,27 @@ class ModelGraph:
     sample_rate: int
     node_shapes: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
-    def node(self, name: str) -> Node:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise UnknownNode(name)
-
-    @property
-    def output_dim(self) -> int:
-        shape = self.node_shapes[self.output_name]
-        n = 1
-        for d in shape:
-            n *= d
-        return n
-
 
 def _check_name(name: str, what: str) -> None:
     if not _NAME_RE.match(name):
         raise ManifestError(f"invalid {what} name {name!r}")
+
+
+def normalize_params(name: str, op: str, given: dict) -> dict:
+    """Check a node's params against its op's schema and fill in the defaults."""
+    schema = op_def(op).params
+    unknown = set(given) - set(schema)
+    if unknown:
+        raise ManifestError(f"node {name!r}: unknown params {sorted(unknown)}")
+    params = {}
+    for p, (kind, default) in schema.items():
+        if p in given:
+            params[p] = given[p]
+        elif default is None and kind not in ("weight_opt", "int_pair_opt"):
+            raise ManifestError(f"node {name!r}: op {op!r} requires {p!r}")
+        else:
+            params[p] = default
+    return params
 
 
 def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
@@ -98,20 +101,8 @@ def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
         if node.name == input_name or node.name in weights:
             raise ManifestError(f"node name {node.name!r} collides with input or weight")
         node_names.append(node.name)
-        schema = op_def(node.op).params
-        unknown = set(node.params) - set(schema)
-        if unknown:
-            raise ManifestError(f"node {node.name!r}: unknown params {sorted(unknown)}")
-        params = {}
-        for p, (kind, default) in schema.items():
-            if p in node.params:
-                params[p] = node.params[p]
-            elif default is None and kind not in ("weight_opt", "int_pair_opt"):
-                raise ManifestError(f"node {node.name!r}: op {node.op!r} requires {p!r}")
-            else:
-                params[p] = default
-        normalized.append(Node(name=node.name, op=node.op,
-                               inputs=tuple(node.inputs), params=params))
+        normalized.append(Node(name=node.name, op=node.op, inputs=tuple(node.inputs),
+                               params=normalize_params(node.name, node.op, node.params)))
     nodes = tuple(normalized)
     name_set = set(node_names)
 

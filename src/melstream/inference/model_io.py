@@ -27,7 +27,7 @@ import numpy as np
 
 from ..dsp import MelConfig
 from ..errors import ManifestError, MissingWeight, ModelLoadError, ShapeMismatch
-from .graph import FORMAT_VERSION, ModelGraph, Node, build_graph
+from .graph import FORMAT_VERSION, ModelGraph, Node, build_graph, normalize_params
 from .ops import op_def, weight_param_names
 
 WEIGHTS_MAGIC = b"MSTW"
@@ -145,18 +145,7 @@ def _parse_node_line(rest: str) -> Node:
                 raise ManifestError(f"unhandled param kind {pkind}")
         except (ValueError, TypeError):
             raise ManifestError(f"bad value {value!r} for {key!r} on node {name!r}") from None
-    for key, (pkind, default) in d.params.items():
-        if key in params:
-            continue
-        if pkind == "weight":
-            raise ManifestError(f"node {name!r} ({kind}) missing required param {key!r}")
-        if pkind in ("weight_opt", "int_pair_opt"):
-            params[key] = None if default is None else default
-            if pkind == "weight_opt":
-                params[key] = None
-        else:
-            params[key] = default
-    return Node(name=name, op=kind, inputs=inputs, params=params)
+    return Node(name=name, op=kind, inputs=inputs, params=normalize_params(name, kind, params))
 
 
 def parse_manifest(text: str) -> dict:
@@ -272,7 +261,11 @@ def format_manifest(graph: ModelGraph) -> str:
 
 def load_model(manifest_path, weights_path) -> ModelGraph:
     """Load and validate a model container."""
-    pieces = parse_manifest(Path(manifest_path).read_text(encoding="utf-8"))
+    try:
+        text = Path(manifest_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ManifestError("manifest is not valid UTF-8") from None
+    pieces = parse_manifest(text)
     stored = read_weights(weights_path)
     weights: dict[str, np.ndarray] = {}
     for name, declared in pieces.pop("weight_decls").items():

@@ -20,11 +20,6 @@ from ..errors import ShapeMismatch, UnsupportedOp
 F32 = np.float32
 
 
-def _pair(v) -> tuple[int, int]:
-    a, b = v
-    return int(a), int(b)
-
-
 def _pad_amounts(size: int, k: int, stride: int) -> tuple[int, int]:
     # TF-style same padding: output ceil(size / stride).
     out = -(-size // stride)

@@ -5,6 +5,10 @@ A track's mel frames are cut into consecutive non-overlapping patches of
 shorter than one patch is zero-padded to a single patch (or rejected
 when padding is disabled). Per-patch activations are aggregated across
 patches by mean (default) or max.
+
+This module is the one path from audio to per-patch outputs: ``predict``,
+``embed_patches``, the command line and the stream pipeline all run their
+patches through :func:`run_patches`.
 """
 
 from __future__ import annotations
@@ -64,28 +68,45 @@ def patch_to_input(patch: np.ndarray, graph: ModelGraph) -> np.ndarray:
         f"patch of shape {x.shape} cannot feed graph input {target}")
 
 
-def predict(graph: ModelGraph, buf: AudioBuffer, aggregation: str = "mean",
-            pad_short: bool = True) -> Prediction:
-    """Classify a whole track."""
-    if not graph.labels:
-        raise ValueError("graph has no labels; it is a feature extractor")
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
+def _track_patches(graph: ModelGraph, buf: AudioBuffer, pad_short: bool) -> np.ndarray:
+    """Resample a track to the graph's rate, take its mel frames and tile them."""
     if buf.sample_rate != graph.sample_rate:
         buf = resample(buf, graph.sample_rate)
     try:
         mel = mel_spectrogram(buf, graph.feature_config)
     except SignalTooShort as e:
         raise TrackTooShort(str(e)) from None
-    patches = tile_patches(mel.frames, graph.patch_frames, pad_short=pad_short)
-    per_patch = np.stack([forward(graph, patch_to_input(p, graph)) for p in patches])
+    return tile_patches(mel.frames, graph.patch_frames, pad_short=pad_short)
+
+
+def run_patches(graph: ModelGraph, patches: np.ndarray, until: str | None = None) -> np.ndarray:
+    """Run each (patch_frames, n_mels) patch through the graph up to ``until``.
+
+    Returns one (n_patches, dim) float32 row per patch, the node's output raveled.
+    """
+    return np.stack([forward(graph, patch_to_input(p, graph), until).ravel() for p in patches])
+
+
+def aggregate(per_patch: np.ndarray, aggregation: str) -> np.ndarray:
+    """Combine (n_patches, n_classes) activations into one float32 row."""
+    if aggregation not in AGGREGATIONS:
+        raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
     if aggregation == "mean":
         aggregated = per_patch.mean(axis=0)
         # float32 summation can land a hair outside the per-patch envelope.
         aggregated = np.clip(aggregated, per_patch.min(axis=0), per_patch.max(axis=0))
     else:
         aggregated = per_patch.max(axis=0)
-    return Prediction(per_patch=per_patch, aggregated=aggregated.astype(np.float32),
+    return aggregated.astype(np.float32)
+
+
+def predict(graph: ModelGraph, buf: AudioBuffer, aggregation: str = "mean",
+            pad_short: bool = True) -> Prediction:
+    """Classify a whole track."""
+    if not graph.labels:
+        raise ValueError("graph has no labels; it is a feature extractor")
+    per_patch = run_patches(graph, _track_patches(graph, buf, pad_short))
+    return Prediction(per_patch=per_patch, aggregated=aggregate(per_patch, aggregation),
                       labels=graph.labels)
 
 
@@ -96,13 +117,4 @@ def top_label(prediction: Prediction) -> str:
 
 def embed_patches(graph: ModelGraph, buf: AudioBuffer, pad_short: bool = True) -> np.ndarray:
     """Per-patch embeddings (n_patches, dim) from the graph's embedding layer."""
-    if buf.sample_rate != graph.sample_rate:
-        buf = resample(buf, graph.sample_rate)
-    try:
-        mel = mel_spectrogram(buf, graph.feature_config)
-    except SignalTooShort as e:
-        raise TrackTooShort(str(e)) from None
-    patches = tile_patches(mel.frames, graph.patch_frames, pad_short=pad_short)
-    rows = [forward(graph, patch_to_input(p, graph), graph.embedding_name).ravel()
-            for p in patches]
-    return np.stack(rows)
+    return run_patches(graph, _track_patches(graph, buf, pad_short), graph.embedding_name)

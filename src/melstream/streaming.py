@@ -17,6 +17,7 @@ import numpy as np
 
 from .dsp import MelConfig, _compression_fn, _mel_frame, mel_filterbank, window_vector
 from .errors import AlreadyFlushed, BufferOverflow
+from .inference.prediction import patch_to_input, run_patches
 
 DEFAULT_CAPACITY_FACTOR = 4
 
@@ -129,10 +130,9 @@ class StreamPipeline:
         self._samples = RingBuffer(capacity_factor * config.frame_size, 1)
         self._frames = None
         if model is not None:
-            from .inference.graph import forward
-            from .inference.prediction import patch_to_input
-            self._forward = forward
-            self._patch_to_input = patch_to_input
+            # A model that cannot take a (patch_frames, n_mels) patch fails here, not at
+            # the first patch.
+            patch_to_input(np.zeros((model.patch_frames, config.n_mels)), model)
             self._frames = RingBuffer(capacity_factor * model.patch_frames, config.n_mels)
         self._flushed = False
         self._pushes, self._push_total, self._push_min, self._push_max = 0, 0.0, float("inf"), 0.0
@@ -156,8 +156,7 @@ class StreamPipeline:
                 self._frames.write(mel[None, :])
                 if self._frames.count >= self.model.patch_frames:
                     patch = self._frames.read(self.model.patch_frames)
-                    out = self._forward(self.model, self._patch_to_input(patch, self.model))
-                    patches_out.append(np.asarray(out, dtype=np.float32).ravel())
+                    patches_out.append(run_patches(self.model, patch[None])[0])
                     self.patches_emitted += 1
         return progressed
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import melstream as ms
-from melstream.cli import _STREAM_CHUNK, _resolve_jobs, _resolve_seed, main
+from melstream.cli import _STREAM_CHUNK, _resolve_seed, main
 from melstream.errors import ConfigError
 from melstream.inference.model_io import read_weights
 
@@ -183,8 +183,6 @@ class TestPredict:
         graph, manifest, weights = tiny_model
         wav = tmp_path / "t.wav"
         write_tone_wav(wav, 800.0, 30.0, sr=8000)
-        offline = run_json(capsys, "predict", str(wav), "--model", manifest,
-                           "--weights", weights)
         raw = ms.load_pcm(str(wav), graph.sample_rate).samples.astype("<f4").tobytes()
         assert len(raw) > 3 * 4 * _STREAM_CHUNK
 
@@ -205,13 +203,16 @@ class TestPredict:
         real_push = ms.StreamPipeline.push
         monkeypatch.setattr(ms.StreamPipeline, "push", lambda pipe, x: (
             consumed.append(sys.stdin.buffer.tell()) or real_push(pipe, x)))
-        for cap in (len(raw), 1001):  # whole blocks; short reads splitting float32 samples
-            consumed.clear()
-            monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": Pipe(raw, cap)})())
-            streamed = run_json(capsys, "predict", "--stream", "--model", manifest,
-                                "--weights", weights)
-            assert streamed == offline
-            assert consumed[0] < len(raw)  # pushing began before stdin ended
+        for aggregation in ("mean", "max"):
+            offline = run_json(capsys, "predict", str(wav), "--model", manifest,
+                               "--weights", weights, "--aggregation", aggregation)
+            for cap in (len(raw), 1001):  # whole blocks; short reads splitting float32 samples
+                consumed.clear()
+                monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": Pipe(raw, cap)})())
+                streamed = run_json(capsys, "predict", "--stream", "--model", manifest,
+                                    "--weights", weights, "--aggregation", aggregation)
+                assert streamed == offline
+                assert consumed[0] < len(raw)  # pushing began before stdin ended
 
     def test_stream_rejects_audio_argument(self, capsys, tiny_model, tone_wav):
         _, manifest, weights = tiny_model
@@ -256,12 +257,15 @@ class TestPredict:
 
     def test_invalid_utf8_weight_name_exits_4(self, capsys, tone_wav, tiny_model):
         _, manifest, weights = tiny_model
-        with open(weights, "r+b") as f:
-            f.seek(4 + 8 + 2)  # magic, version and count, first name length
-            f.write(b"\xff")
-        code, _, _ = run(capsys, "predict", tone_wav, "--model", manifest,
-                         "--weights", weights)
-        assert code == 4
+        # Weights: past magic, version, count and the first name length. The
+        # manifest is read before the weights, so its case fails on the manifest alone.
+        for path, offset in ((weights, 4 + 8 + 2), (manifest, 0)):
+            with open(path, "r+b") as f:
+                f.seek(offset)
+                f.write(b"\xff")
+            code, _, _ = run(capsys, "predict", tone_wav, "--model", manifest,
+                             "--weights", weights)
+            assert code == 4
 
     def test_unlabeled_model_rejected(self, capsys, tmp_path):
         nodes = [ms.Node("flat", "flatten", ("in",), {})]
@@ -281,14 +285,25 @@ class TestEmbed:
     def test_embeddings_match_forward(self, capsys, tiny_model, tmp_path):
         graph, manifest, weights = tiny_model
         wav = tmp_path / "t.wav"
-        write_tone_wav(wav, 800.0, 1.0, sr=8000)
+        for sr in (8000, 44100):  # the model's rate, and one the file must be resampled from
+            write_tone_wav(wav, 800.0, 1.0, sr=sr)
+            payload = run_json(capsys, "embed", str(wav), "--model", manifest,
+                               "--weights", weights)
+            assert payload["layer"] == "flat"
+            rows = np.array(payload["embeddings"], dtype=np.float32)
+            expect = ms.embed_patches(graph, ms.load_pcm(str(wav)))
+            assert np.array_equal(rows, expect)
+
+    def test_short_track_padded_or_rejected(self, capsys, tiny_model, tmp_path):
+        _, manifest, weights = tiny_model
+        wav = tmp_path / "t.wav"
+        write_tone_wav(wav, 800.0, 0.01, sr=8000)  # 80 samples: one frame of a 4-frame patch
         payload = run_json(capsys, "embed", str(wav), "--model", manifest,
                            "--weights", weights)
-        assert payload["layer"] == "flat"
-        rows = np.array(payload["embeddings"], dtype=np.float32)
-        buf = ms.load_pcm(str(wav), graph.sample_rate)
-        expect = ms.embed_patches(graph, buf)
-        assert np.array_equal(rows, expect)
+        assert payload["shape"] == [1, 24]
+        code, _, _ = run(capsys, "embed", str(wav), "--model", manifest,
+                         "--weights", weights, "--no-pad-short")
+        assert code == 5
 
     def test_bin_format(self, capsys, tiny_model, tmp_path):
         graph, manifest, weights = tiny_model
@@ -376,7 +391,6 @@ class TestCrossval:
                            "--folds", "2", "--max-epochs", "2")
         assert 0.0 <= payload["balanced_accuracy"] <= 1.0
         assert payload["folds"] == 2
-        assert payload["jobs"] == 1
         assert payload["n_evaluated"] == 8
         assert "±" in payload["summary"]
         assert set(payload["per_class_recall"]) == {"low", "high"}
@@ -389,22 +403,6 @@ class TestCrossval:
         code_b, out_b, _ = run(capsys, *args)
         assert code_a == code_b == 0
         assert out_a == out_b
-
-    def test_jobs_capped_by_env(self, capsys, monkeypatch, tiny_model, tiny_dataset):
-        _, manifest, weights = tiny_model
-        monkeypatch.setenv("MELSTREAM_THREADS", "1")
-        payload = run_json(capsys, "crossval", "--model", manifest,
-                           "--weights", weights, "--dataset", tiny_dataset,
-                           "--folds", "2", "--max-epochs", "1", "--jobs", "4")
-        assert payload["jobs"] == 1
-
-    def test_bad_thread_env_exits_3(self, capsys, monkeypatch, tiny_model, tiny_dataset):
-        _, manifest, weights = tiny_model
-        monkeypatch.setenv("MELSTREAM_THREADS", "many")
-        code, _, _ = run(capsys, "crossval", "--model", manifest,
-                         "--weights", weights, "--dataset", tiny_dataset,
-                         "--folds", "2", "--max-epochs", "1", "--jobs", "2")
-        assert code == 3
 
     def test_random_seed(self, capsys, tiny_model, tiny_dataset):
         _, manifest, weights = tiny_model
@@ -533,12 +531,3 @@ class TestTopLevel:
         assert isinstance(r, int) and 0 <= r < 2 ** 32
         with pytest.raises(ConfigError):
             _resolve_seed("maybe")
-
-    def test_resolve_jobs(self, monkeypatch):
-        monkeypatch.delenv("MELSTREAM_THREADS", raising=False)
-        assert _resolve_jobs(4) == 4
-        monkeypatch.setenv("MELSTREAM_THREADS", "2")
-        assert _resolve_jobs(4) == 2
-        assert _resolve_jobs(1) == 1
-        with pytest.raises(ConfigError):
-            _resolve_jobs(0)

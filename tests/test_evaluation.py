@@ -403,14 +403,6 @@ class TestCrossvalRun:
         assert report.stdev_across_folds == 0.0
         assert report.confusion is not None
 
-    def test_jobs_do_not_change_result(self):
-        ds, table = self._dataset_and_table(n=24, n_classes=2)
-        spec = ms.HeadSpec("A", 2)
-        tspec = ms.TrainSpec(max_epochs=10)
-        a = ms.crossval_run(ds, None, spec, tspec, k=3, table=table, jobs=1)
-        b = ms.crossval_run(ds, None, spec, tspec, k=3, table=table, jobs=3)
-        assert a == b
-
     def test_tracks_without_embeddings_are_discarded(self):
         ds, table = self._dataset_and_table(n=24, n_classes=2)
         del table.rows["t000"]

@@ -358,6 +358,8 @@ class TestPredict:
         assert np.all(pred.aggregated <= pred.per_patch.max(axis=0))
         mx = ms.predict(g, buf, aggregation="max")
         assert np.array_equal(mx.aggregated, mx.per_patch.max(axis=0))
+        with pytest.raises(ValueError, match="aggregation"):
+            ms.predict(g, buf, aggregation="median")
 
     def test_sub_frame_track_rejected(self):
         g = linear_classifier(patch_frames=10)

@@ -211,6 +211,12 @@ class TestManifestText:
                            "embedding n\npatch_frames 4\nsample_rate 8000\n"
                            "node n dense inputs=in\n")
 
+    def test_node_line_missing_required_param(self):
+        with pytest.raises(ManifestError, match="requires 'pool'"):
+            parse_manifest("format_version 1\ninput in 4,4,1\noutput n\n"
+                           "embedding n\npatch_frames 4\nsample_rate 8000\n"
+                           "node n max_pool2d inputs=in\n")
+
 
 class TestSaveLoad:
     def test_forward_bit_exact_after_round_trip(self, tmp_path):
@@ -244,6 +250,14 @@ class TestSaveLoad:
         (tmp_path / "m.txt").write_text(
             text.replace(f"weight {name} {dims}", f"weight {name} {wrong}", 1))
         with pytest.raises(ShapeMismatch):
+            ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin")
+
+    def test_invalid_utf8_manifest(self, tmp_path):
+        g = linear_classifier(seed=11)
+        ms.save_model(g, tmp_path / "m.txt", tmp_path / "m.bin")
+        with open(tmp_path / "m.txt", "ab") as f:
+            f.write(b"# \xff\n")
+        with pytest.raises(ManifestError, match="UTF-8"):
             ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin")
 
     def test_declared_weight_absent_from_file(self, tmp_path):

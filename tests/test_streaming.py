@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import melstream as ms
-from melstream.errors import AlreadyFlushed, BufferOverflow
+from melstream.errors import AlreadyFlushed, BufferOverflow, InputShapeMismatch
 from melstream.streaming import RingBuffer
 
 from util import linear_classifier
@@ -183,6 +183,15 @@ class TestModelStreaming:
         other = ms.MelConfig(frame_size=64, hop_size=32, n_mels=6, f_max=4000.0)
         with pytest.raises(ValueError):
             ms.StreamPipeline(config=other, model=graph)
+
+    def test_model_input_checked_at_construction(self):
+        cfg = ms.MelConfig(frame_size=64, hop_size=32, n_mels=6, f_max=4000.0)
+        graph = ms.build_graph(input_name="in", input_shape=(5, 6, 1), output_name="flat",
+                               embedding_name="flat",
+                               nodes=[ms.Node("flat", "flatten", ("in",), {})], weights={},
+                               labels=(), patch_frames=4, feature_config=cfg, sample_rate=8000)
+        with pytest.raises(InputShapeMismatch):
+            ms.StreamPipeline(model=graph)
 
 
 class TestLatency:
