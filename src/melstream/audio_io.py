@@ -119,15 +119,19 @@ def _decode_payload(payload: bytes, tag: int, bits: int, channels: int) -> np.nd
             raise UnsupportedFormat(f"{bits}-bit float WAV not supported")
         flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     elif tag == _WAVE_PCM:
+        # Scaled in place: dividing into a new array would hold two float64 copies.
         if bits == 16:
-            flat = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 2.0 ** 15
+            flat = np.frombuffer(payload, dtype="<i2").astype(np.float64)
+            flat /= 2.0 ** 15
         elif bits == 32:
-            flat = np.frombuffer(payload, dtype="<i4").astype(np.float64) / 2.0 ** 31
+            flat = np.frombuffer(payload, dtype="<i4").astype(np.float64)
+            flat /= 2.0 ** 31
         elif bits == 24:
             raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
             vals = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
             vals = np.where(vals & 0x800000, vals - 0x1000000, vals)
-            flat = vals.astype(np.float64) / 2.0 ** 23
+            flat = vals.astype(np.float64)
+            flat /= 2.0 ** 23
         else:
             raise UnsupportedFormat(f"{bits}-bit integer PCM not supported")
     else:
@@ -157,7 +161,7 @@ def load_pcm(path, target_rate: int | None = None) -> AudioBuffer:
     buf = AudioBuffer(mono, rate)
     if target_rate is not None:
         buf = resample(buf, target_rate)
-    clipped = int(np.count_nonzero(np.abs(buf.samples) > 1.0))
+    clipped = int(np.count_nonzero(buf.samples > 1.0) + np.count_nonzero(buf.samples < -1.0))
     samples = np.clip(buf.samples, -1.0, 1.0) if clipped else buf.samples
     return AudioBuffer(samples, buf.sample_rate, clipped=clipped)
 

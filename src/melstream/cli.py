@@ -159,6 +159,8 @@ def cmd_melspec(args) -> int:
 
 def cmd_predict(args) -> int:
     graph = load_model(args.model, args.weights)
+    if not graph.labels:
+        raise ValueError("model has no labels; it is a feature extractor")
     if args.stream:
         if args.audio:
             raise ConfigError("--stream reads from stdin; drop the audio argument")
@@ -175,8 +177,6 @@ def cmd_predict(args) -> int:
         per_patch = np.concatenate([r for r in rows if r.size] or [np.empty((0, 0))])
         if per_patch.shape[0] == 0:
             raise TrackTooShort("stream ended before one full patch of audio arrived")
-        if not graph.labels:
-            raise ValueError("model has no labels; it is a feature extractor")
         aggregated = aggregate(per_patch, args.aggregation)
         labels = graph.labels
         n_patches = per_patch.shape[0]

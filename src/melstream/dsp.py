@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer
 from .errors import ConfigError, EmptyFilter, SignalTooShort
@@ -30,6 +31,9 @@ FILTER_NORMS = ("none", "area", "band-width")
 SPECTRUM_TYPES = ("magnitude", "power")
 
 LOG_FLOOR = 1e-10
+
+# Frames per offline mel kernel call; rows do not depend on it, and 256 cost memory.
+_MEL_BLOCK = 64
 
 _SHIFTED_LOG_RE = re.compile(r"^shifted-log\(([^()]+)\)$")
 
@@ -285,11 +289,13 @@ def _compression_fn(config: MelConfig):
     return lambda x: np.log10(1.0 + scale * x)
 
 
-def _mel_frame(segment: np.ndarray, window: np.ndarray, fft_size: int,
+def _mel_frame(segments: np.ndarray, window: np.ndarray, fft_size: int,
                filterbank: np.ndarray, spectrum_type: str, compress) -> np.ndarray:
-    # Single shared kernel: the streaming path must be bit-identical to the
-    # offline path, so both call exactly this.
-    return compress(filterbank @ _spectrum(segment * window, fft_size, spectrum_type))
+    # Single shared kernel, (k, frame_size) segments to (k, n_mels) rows: streaming calls
+    # it per frame, offline per block. One mat-vec per frame keeps a row independent of
+    # k; a (k, bins) @ filterbank.T GEMM does not.
+    spec = _spectrum(segments * window, fft_size, spectrum_type)
+    return compress(np.matmul(filterbank, spec[:, :, None])[:, :, 0])
 
 
 @dataclass(frozen=True)
@@ -321,8 +327,9 @@ def mel_spectrogram(buf: AudioBuffer, config: MelConfig) -> MelSpectrogram:
     window = window_vector(config.window, config.frame_size)
     fb = mel_filterbank(config, buf.sample_rate)
     compress = _compression_fn(config)
+    segments = sliding_window_view(x, config.frame_size)[::config.hop_size]
     out = np.empty((t, config.n_mels))
-    for i in range(t):
-        seg = x[i * config.hop_size:i * config.hop_size + config.frame_size]
-        out[i] = _mel_frame(seg, window, config.fft_size, fb, config.spectrum_type, compress)
+    for i in range(0, t, _MEL_BLOCK):
+        out[i:i + _MEL_BLOCK] = _mel_frame(segments[i:i + _MEL_BLOCK], window, config.fft_size,
+                                           fb, config.spectrum_type, compress)
     return MelSpectrogram(out, config, buf.sample_rate)

@@ -220,21 +220,11 @@ def average_precision(scores: np.ndarray, positives: np.ndarray) -> float:
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     p = positives[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and s[j] == s[i]:
-            j += 1
-        block_pos = int(p[i:j].sum())
-        tp += block_pos
-        seen += j - i
-        if block_pos:
-            ap += (tp / seen) * (block_pos / n_pos)
-        i = j
-    return float(ap)
+    # Last index of each block of tied scores (!=, unlike np.diff, keeps repeated infs tied).
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)
+    tp = np.cumsum(p)[ends]
+    terms = (tp / (ends + 1)) * (np.diff(tp, prepend=0) / n_pos)
+    return float(np.cumsum(terms)[-1])  # summed in block order, as a loop would
 
 
 def auc_pr(truth: dict[str, tuple[str, ...]], scores: dict[str, np.ndarray],

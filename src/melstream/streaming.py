@@ -145,7 +145,7 @@ class StreamPipeline:
         # hop_size <= frame_size (enforced by MelConfig), so the advance
         # below never outruns the fill level.
         while self._samples.count >= cfg.frame_size:
-            seg = self._samples.peek(cfg.frame_size)[:, 0]
+            seg = self._samples.peek(cfg.frame_size).T  # (1, frame_size)
             self._samples.advance(cfg.hop_size)
             mel = _mel_frame(seg, self._window, cfg.fft_size, self._fb,
                              cfg.spectrum_type, self._compress)
@@ -153,7 +153,7 @@ class StreamPipeline:
             self.frames_emitted += 1
             progressed = True
             if self._frames is not None:
-                self._frames.write(mel[None, :])
+                self._frames.write(mel)
                 if self._frames.count >= self.model.patch_frames:
                     patch = self._frames.read(self.model.patch_frames)
                     patches_out.append(run_patches(self.model, patch[None])[0])
@@ -162,7 +162,7 @@ class StreamPipeline:
 
     def _result(self, frames: list, patches: list) -> PushResult:
         n_mels = self.config.n_mels
-        f = np.stack(frames) if frames else np.empty((0, n_mels))
+        f = np.concatenate(frames) if frames else np.empty((0, n_mels))
         p = np.stack(patches) if patches else np.empty((0, 0), dtype=np.float32)
         return PushResult(frames=f, patch_outputs=p)
 

@@ -252,13 +252,23 @@ def _stratified_split(labels: dict[str, str], classes, val_fraction: float,
     return sorted(train_ids), sorted(val_ids)
 
 
-def _val_loss(layers, variant, table, labels, class_index, val_ids) -> float:
-    # Each track weighs equally: mean cross-entropy over its patches first.
-    per_track = []
-    for track in val_ids:
-        probs = head_probs(layers, table.rows[track], variant)
-        y = class_index[labels[track]]
-        per_track.append(float(-np.log(np.maximum(probs[:, y], 1e-300)).mean()))
+def _stack_tracks(table: EmbeddingTable, track_ids):
+    """The tracks' rows stacked in float64, with each track's start row and row count."""
+    counts = np.array([table.rows[t].shape[0] for t in track_ids])
+    starts = np.cumsum(counts) - counts
+    return np.concatenate([table.rows[t] for t in track_ids]).astype(np.float64), starts, counts
+
+
+def _val_loss(layers, variant, rows, starts, counts, y) -> float:
+    # Each track weighs equally: mean cross-entropy over its patches first. Tracks
+    # with n patches are averaged as the rows of one (tracks, n) matrix, which sums
+    # in the order a per-track mean does (np.add.reduceat does not).
+    probs = head_probs(layers, rows, variant)
+    nll = -np.log(np.maximum(probs[np.arange(rows.shape[0]), np.repeat(y, counts)], 1e-300))
+    per_track = np.empty(counts.size)
+    for n in np.unique(counts):
+        of_n = counts == n
+        per_track[of_n] = nll[starts[of_n, None] + np.arange(n)].mean(axis=1)
     return float(np.mean(per_track))
 
 
@@ -289,6 +299,10 @@ def train_head(table: EmbeddingTable, labels: dict[str, str], spec: HeadSpec,
                            input_dim=table.dim, training_log=[], best_epoch=0,
                            train_tracks=tuple(train_ids), val_tracks=tuple(val_ids))
 
+    train_rows, train_starts, train_counts = _stack_tracks(table, train_ids)
+    val_rows, val_starts, val_counts = _stack_tracks(table, val_ids)
+    y_train = np.array([class_index[labels[t]] for t in train_ids])
+    y_val = np.array([class_index[labels[t]] for t in val_ids])
     params = _flatten_layers(layers)
     state = AdamState.zeros_like(params)
     lr = train.initial_lr
@@ -304,15 +318,10 @@ def train_head(table: EmbeddingTable, labels: dict[str, str], spec: HeadSpec,
         batch_losses = []
         for b in range(n_batches):
             chunk = order[b * train.batch_size:(b + 1) * train.batch_size]
-            xs = np.empty((chunk.size, table.dim))
-            ys = np.empty(chunk.size, dtype=np.int64)
-            for row, idx in enumerate(chunk):
-                track = train_ids[idx]
-                patches = table.rows[track]
-                pick = int(rng.integers(patches.shape[0]))
-                xs[row] = patches[pick]
-                ys[row] = class_index[labels[track]]
-            loss, grads = head_loss_and_grads(_unflatten_layers(params), xs, ys, spec.variant)
+            # One patch per track; an array of bounds draws what one call per row would.
+            xs = train_rows[train_starts[chunk] + rng.integers(train_counts[chunk])]
+            loss, grads = head_loss_and_grads(_unflatten_layers(params), xs, y_train[chunk],
+                                              spec.variant)
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"training loss became {loss} at epoch {epoch}")
             params, state = adam_step(params, grads, state, lr, beta1=train.beta1,
@@ -320,7 +329,7 @@ def train_head(table: EmbeddingTable, labels: dict[str, str], spec: HeadSpec,
             batch_losses.append(loss)
 
         layers = _unflatten_layers(params)
-        val = _val_loss(layers, spec.variant, table, labels, class_index, val_ids)
+        val = _val_loss(layers, spec.variant, val_rows, val_starts, val_counts, y_val)
         if not math.isfinite(val):
             raise NonFiniteLoss(f"validation loss became {val} at epoch {epoch}")
         log.append({"epoch": epoch, "train_loss": float(np.mean(batch_losses)),

@@ -119,6 +119,21 @@ def ref_mel_spectrogram(x: np.ndarray, sample_rate: int, frame_size: int,
     return np.stack(rows)
 
 
+def ref_mel_frame(segment: np.ndarray, window: np.ndarray, fft_size: int,
+                  filterbank: np.ndarray, spectrum_type: str, compression: str) -> np.ndarray:
+    """One mel row the way the per-frame kernel made it: rfft, then one mat-vec.
+
+    Unlike :func:`ref_mel_spectrogram` this repeats the package's own
+    arithmetic, so rows that agree with it agree bit for bit.
+    """
+    spec = np.fft.rfft(segment * window, n=fft_size)
+    if spectrum_type == "power":
+        spec = spec.real ** 2 + spec.imag ** 2
+    else:
+        spec = np.abs(spec)
+    return ref_compress(filterbank @ spec, compression)
+
+
 # -- resampling ---------------------------------------------------------------
 
 def ref_resample(x: np.ndarray, source: int, target: int) -> np.ndarray:
@@ -248,6 +263,69 @@ def ref_average_precision(scores, positives) -> float:
         ap += precision * (recall - prev_recall)
         prev_recall = recall
     return ap
+
+
+def ref_average_precision_blocks(scores, positives) -> float:
+    """Average precision by one pass over blocks of tied scores, best first."""
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    p = np.asarray(positives, dtype=bool)[order]
+    n_pos = int(p.sum())
+    ap = 0.0
+    tp = 0
+    seen = 0
+    i = 0
+    while i < s.size:
+        j = i
+        while j < s.size and s[j] == s[i]:
+            j += 1
+        block_pos = int(p[i:j].sum())
+        tp += block_pos
+        seen += j - i
+        if block_pos:
+            ap += (tp / seen) * (block_pos / n_pos)
+        i = j
+    return float(ap)
+
+
+# -- head training ------------------------------------------------------------
+
+def ref_val_loss(layers, variant: str, rows_by_track, y_by_track) -> float:
+    """Validation loss one track at a time: each track's mean cross-entropy, then their mean.
+
+    ``layers`` is [(W, b)] for variant A or [(W1, b1), (W2, b2)] for B,
+    applied with relu between; the arithmetic repeats the package's.
+    """
+    per_track = []
+    for rows, y in zip(rows_by_track, y_by_track):
+        x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        if variant == "A":
+            (w, b), = layers
+            z = x @ w + b
+        else:
+            (w1, b1), (w2, b2) = layers
+            z = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+        probs = ref_softmax(z)
+        per_track.append(float(-np.log(np.maximum(probs[:, y], 1e-300)).mean()))
+    return float(np.mean(per_track))
+
+
+def ref_head_batches(rows_by_track, y_by_track, batch_size: int, epochs: int, rng):
+    """Mini-batches as drawn one row at a time: a track order per epoch, then
+    one random patch for each track of a batch. Yields (xs, ys)."""
+    n = len(rows_by_track)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for b in range(0, n, batch_size):
+            chunk = order[b:b + batch_size]
+            xs = np.empty((chunk.size, rows_by_track[0].shape[1]))
+            ys = np.empty(chunk.size, dtype=np.int64)
+            for row, idx in enumerate(chunk):
+                patches = rows_by_track[idx]
+                xs[row] = patches[int(rng.integers(patches.shape[0]))]
+                ys[row] = y_by_track[idx]
+            yield xs, ys
 
 
 def ref_lr_schedule(val_losses, initial_lr, patience, factor):

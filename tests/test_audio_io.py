@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ class TestDecoding:
         buf = ms.load_pcm(path)
         assert buf.clipped == 2
         assert np.max(np.abs(buf.samples)) <= 1.0
+
+    def test_peak_memory_per_sample(self, tmp_path):
+        # The file's bytes and its data chunk, the decoded and the mixed-down float64
+        # signal and a bool mask come to about 2.6 x 8 bytes per sample; one more
+        # float64 temporary (an unscaled copy, or |x| for the clip count) passes 3 x 8.
+        path = tmp_path / "t.wav"
+        ms.write_wav(path, tone(440.0, 10.0), 16000)
+        tracemalloc.start()
+        try:
+            buf = ms.load_pcm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * len(buf)
 
     def test_extra_chunks_are_skipped(self, tmp_path):
         payload = struct.pack("<2h", 1000, -1000)

@@ -267,7 +267,7 @@ class TestPredict:
                              "--weights", weights)
             assert code == 4
 
-    def test_unlabeled_model_rejected(self, capsys, tmp_path):
+    def test_unlabeled_model_rejected(self, capsys, monkeypatch, tmp_path):
         nodes = [ms.Node("flat", "flatten", ("in",), {})]
         graph = ms.build_graph(input_name="in", input_shape=(4, 6, 1),
                                output_name="flat", embedding_name="flat",
@@ -277,6 +277,16 @@ class TestPredict:
         wav = tmp_path / "t.wav"
         write_tone_wav(wav, 500.0, 1.0, sr=8000)
         code, _, _ = run(capsys, "predict", str(wav), "--model",
+                         str(tmp_path / "m.txt"), "--weights", str(tmp_path / "w.bin"))
+        assert code == 3
+
+        class Unread:
+            def read1(self, size=-1):
+                raise AssertionError("stdin read before the model's labels were checked")
+
+        monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": Unread()})())
+        monkeypatch.setattr(ms.StreamPipeline, "push", lambda *a: pytest.fail("pushed"))
+        code, _, _ = run(capsys, "predict", "--stream", "--model",
                          str(tmp_path / "m.txt"), "--weights", str(tmp_path / "w.bin"))
         assert code == 3
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import melstream as ms
+from melstream import dsp
 from melstream.dsp import (LOG_FLOOR, mel_filterbank, parse_compression,
-                           power_spectrum)
+                           power_spectrum, window_vector)
 from melstream.errors import ConfigError, EmptyFilter, SignalTooShort
 
 import oracles
@@ -270,6 +271,25 @@ class TestMelSpectrogram:
         short = ms.mel_spectrogram(ms.AudioBuffer(x[:2048], 8000), cfg).frames
         full = ms.mel_spectrogram(ms.AudioBuffer(x, 8000), cfg).frames
         assert np.array_equal(full[:short.shape[0]], short)
+
+    @pytest.mark.parametrize("name", sorted(dsp.PRESETS))
+    def test_blocks_match_per_frame_kernel(self, monkeypatch, name):
+        # Streaming computes one frame per call, so every row must equal the
+        # per-frame kernel's bit for bit, whatever the offline block size.
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, 3 * 16000)
+        for spectrum in ("power", "magnitude"):
+            for compression in ("none", "natural-log", "log10", "shifted-log(10000)"):
+                cfg = replace(ms.preset(name), spectrum_type=spectrum, compression=compression)
+                window = window_vector(cfg.window, cfg.frame_size)
+                fb = mel_filterbank(cfg, 16000)
+                t = (x.size - cfg.frame_size) // cfg.hop_size + 1
+                ref = np.stack([oracles.ref_mel_frame(
+                    x[i * cfg.hop_size:i * cfg.hop_size + cfg.frame_size], window,
+                    cfg.fft_size, fb, spectrum, compression) for i in range(t)])
+                for block in (1, 7, 64, 4096):
+                    monkeypatch.setattr(dsp, "_MEL_BLOCK", block)
+                    got = ms.mel_spectrogram(ms.AudioBuffer(x, 16000), cfg).frames
+                    assert np.array_equal(got, ref), (spectrum, compression, block)
 
     def test_frames_read_only(self):
         buf = ms.AudioBuffer(np.ones(1024), 8000)

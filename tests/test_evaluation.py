@@ -247,6 +247,18 @@ class TestAveragePrecision:
                     ref = oracles.ref_average_precision(s, pos)
                     assert abs(got - ref) < 1e-12
 
+    def test_matches_block_loop_on_random_ties(self):
+        rng = np.random.default_rng(11)
+        grid = np.array([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, np.inf])
+        for n in (1, 2, 9, 64, 500, 3000):
+            for trial in range(10):
+                scores = (rng.choice(grid, size=n) if trial % 2
+                          else np.round(rng.normal(size=n) * 4) / 4)
+                pos = rng.random(n) < 0.3
+                pos[rng.integers(n)] = True
+                got = ms.average_precision(scores, pos)
+                assert got == oracles.ref_average_precision_blocks(scores, pos)
+
     def test_no_positives(self):
         with pytest.raises(DegenerateClass):
             ms.average_precision(np.array([0.5]), np.array([False]))

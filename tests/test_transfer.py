@@ -1,11 +1,13 @@
 """Head training on frozen embeddings: optimizer, protocol, export."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import melstream as ms
+from melstream import transfer
 from melstream.errors import (DegenerateDataset, DimMismatch, NonFiniteGradient,
                               NonFiniteLoss)
 from melstream.evaluation import DatasetEntry
@@ -311,6 +313,53 @@ class TestTrainHead:
         table.rows["t001"] = np.full_like(table.rows["t001"], np.inf)
         with pytest.raises((NonFiniteLoss, NonFiniteGradient)):
             train_head(table, labels, ms.HeadSpec("A", 2), ms.TrainSpec(max_epochs=150))
+
+    def test_stacked_val_loss_matches_per_track_loop(self):
+        rng = np.random.default_rng(12)
+        dim, n_classes = 200, 8
+        # Small tables, so one track's last bit still shows in the mean over tracks.
+        for fewest, n_tracks in itertools.product((2, 1), [1, 2, 3, 80] * 8):
+            rows = {f"t{i:02d}": rng.normal(size=(int(rng.integers(fewest, 13)), dim))
+                    .astype(np.float32) for i in range(n_tracks)}
+            table = ms.EmbeddingTable(rows=rows, dim=dim, source_layer="emb")
+            ids = sorted(rows)
+            y = rng.integers(n_classes, size=len(ids))
+            for variant in ("A", "B"):
+                layers = [(w, rng.normal(size=b.shape))
+                          for w, b in init_head(ms.HeadSpec(variant, n_classes), dim, rng)]
+                got = transfer._val_loss(layers, variant, *transfer._stack_tracks(table, ids), y)
+                ref = oracles.ref_val_loss(layers, variant, [rows[t] for t in ids], y)
+                # Variant A with 2+ patches per track runs the same products as the loop.
+                # A 1-patch track's product took numpy's vector-matrix path there, and
+                # B's 100-wide hidden layer is blocked differently over more rows.
+                if variant == "A" and fewest == 2:
+                    assert got == ref
+                else:
+                    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    def test_batches_match_per_row_draws(self, monkeypatch, seed):
+        table, labels = toy_table(n_tracks=70, n_classes=3, n_patches=5, seed=seed)
+        for i, track in enumerate(sorted(table.rows)):
+            table.rows[track] = table.rows[track][:1 + i % 5]
+        seen = []
+        real = transfer.head_loss_and_grads
+        monkeypatch.setattr(transfer, "head_loss_and_grads", lambda layers, x, y, variant: (
+            seen.append((x, y)) or real(layers, x, y, variant)))
+        spec, tspec = ms.HeadSpec("A", 3), ms.TrainSpec(max_epochs=3, batch_size=16, seed=seed)
+        out = train_head(table, labels, spec, tspec)
+        # Replay the draws train_head makes before its first epoch.
+        rng = np.random.default_rng(seed)
+        transfer._stratified_split(labels, out.classes, tspec.val_fraction, rng)
+        init_head(spec, table.dim, rng)
+        class_index = {c: i for i, c in enumerate(out.classes)}
+        expect = list(oracles.ref_head_batches(
+            [table.rows[t] for t in out.train_tracks],
+            [class_index[labels[t]] for t in out.train_tracks],
+            tspec.batch_size, tspec.max_epochs, rng))
+        assert len(seen) == len(expect) == 3 * 4
+        for (x, y), (ex, ey) in zip(seen, expect):
+            assert np.array_equal(x, ex) and np.array_equal(y, ey)
 
 
 class TestClassifyTracks:
