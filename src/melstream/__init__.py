@@ -15,7 +15,7 @@ from .inference import (ModelGraph, Node, Prediction, build_graph,
                         embed_patches, forward, forward_from, load_model,
                         predict, read_weights, save_model, tile_patches,
                         top_label, write_weights)
-from .streaming import LatencyReport, PushResult, RingBuffer, StreamPipeline
+from .streaming import LatencyReport, PushResult, StreamPipeline
 from .transfer import (AdamState, EmbeddingTable, HeadSpec, HeadWeights,
                        TrainSpec, adam_step, classify_tracks, export_head,
                        extract_embeddings, head_probs, train_head)
@@ -26,9 +26,9 @@ __all__ = [
     "AdamState", "AudioBuffer", "DatasetManifest", "EmbeddingTable",
     "EvalReport", "HeadSpec", "HeadWeights", "LOG_FLOOR", "LatencyReport",
     "MelConfig", "MelSpectrogram", "ModelGraph", "Node", "PRESETS",
-    "PRESET_SAMPLE_RATE", "Prediction", "PushResult", "RingBuffer",
-    "StreamPipeline", "Taxonomy", "TrainSpec", "adam_step", "auc_pr",
-    "average_precision", "balanced_accuracy", "build_graph", "classify_tracks",
+    "PRESET_SAMPLE_RATE", "Prediction", "PushResult", "StreamPipeline",
+    "Taxonomy", "TrainSpec", "adam_step", "auc_pr", "average_precision",
+    "balanced_accuracy", "build_graph", "classify_tracks",
     "cross_collection_eval", "crossval_run", "embed_patches", "errors",
     "export_head", "extract_embeddings", "forward", "forward_from",
     "frame_count", "head_probs", "hz_to_mel", "load_dataset", "load_model",

@@ -72,7 +72,8 @@ class AudioBuffer:
 
 
 def _parse_wav(data: bytes):
-    """Return (format_tag, channels, rate, bits, payload bytes)."""
+    """Return (format_tag, channels, rate, bits, payload); the payload is a view of ``data``."""
+    data = memoryview(data)
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise CorruptHeader("not a RIFF/WAVE file")
     fmt = None
@@ -157,7 +158,8 @@ def load_pcm(path, target_rate: int | None = None) -> AudioBuffer:
     if not 1 <= channels <= _MAX_CHANNELS:
         raise UnsupportedFormat(f"{channels} channels outside supported range 1..{_MAX_CHANNELS}")
     frames = _decode_payload(payload, tag, bits, channels)
-    mono = frames.mean(axis=1)
+    # A single channel is taken as a view: the mean of one value is that value.
+    mono = frames[:, 0] if channels == 1 else frames.mean(axis=1)
     buf = AudioBuffer(mono, rate)
     if target_rate is not None:
         buf = resample(buf, target_rate)

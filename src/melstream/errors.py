@@ -39,10 +39,6 @@ class SignalTooShort(MelstreamError):
 
 # -- streaming --------------------------------------------------------------
 
-class BufferOverflow(MelstreamError):
-    """Write would exceed ring-buffer capacity."""
-
-
 class AlreadyFlushed(MelstreamError):
     """Pipeline used after flush()."""
 

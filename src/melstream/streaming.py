@@ -1,11 +1,13 @@
-"""Ring buffers and a push-based streaming front end.
+"""A push-based streaming front end.
 
 A :class:`StreamPipeline` accepts audio in arbitrary chunk sizes and
 emits mel frames (and, when a model is attached, per-patch activations)
-exactly as the offline pipeline would: same frame arithmetic, same
-kernel, bit-identical values, trailing partial frames and patches
-dropped at flush. Memory stays bounded by the ring capacities no matter
-how the input is chunked.
+exactly as the offline pipeline would: each push frames every frame it
+completes with the same strided view and the same kernel, in the same
+blocks, so values are bit-identical; trailing partial frames and patches
+are dropped at flush. Between pushes the pipeline holds fewer than one
+frame of samples and fewer than one patch of mel rows, so memory stays
+bounded no matter how the input is chunked.
 """
 
 from __future__ import annotations
@@ -15,73 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import MelConfig, _compression_fn, _mel_frame, mel_filterbank, window_vector
-from .errors import AlreadyFlushed, BufferOverflow
+from .dsp import (_MEL_BLOCK, MelConfig, _compression_fn, _frame_view, _mel_frame,
+                  mel_filterbank, window_vector)
+from .errors import AlreadyFlushed
 from .inference.prediction import patch_to_input, run_patches
-
-DEFAULT_CAPACITY_FACTOR = 4
-
-
-class RingBuffer:
-    """Fixed-capacity FIFO over rows of a fixed width.
-
-    Positions are monotonic counters; ``write_pos - read_pos`` is the
-    fill level and never exceeds the capacity. One producer and one
-    consumer; reads may peek ahead of the consume point so overlapping
-    frame extraction advances by the hop while seeing the full frame.
-    """
-
-    def __init__(self, capacity: int, width: int = 1):
-        if capacity < 1 or width < 1:
-            raise ValueError("capacity and width must be >= 1")
-        self.capacity = capacity
-        self.width = width
-        self._data = np.zeros((capacity, width))
-        self.read_pos = 0
-        self.write_pos = 0
-
-    @property
-    def count(self) -> int:
-        return self.write_pos - self.read_pos
-
-    @property
-    def free(self) -> int:
-        return self.capacity - self.count
-
-    def write(self, rows: np.ndarray) -> None:
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[:, None]
-        n = rows.shape[0]
-        if n > self.free:
-            raise BufferOverflow(f"write of {n} rows exceeds free space {self.free}")
-        start = self.write_pos % self.capacity
-        first = min(n, self.capacity - start)
-        self._data[start:start + first] = rows[:first]
-        if first < n:
-            self._data[:n - first] = rows[first:]
-        self.write_pos += n
-
-    def peek(self, n: int) -> np.ndarray:
-        if n > self.count:
-            raise ValueError(f"peek of {n} rows exceeds fill level {self.count}")
-        start = self.read_pos % self.capacity
-        first = min(n, self.capacity - start)
-        out = np.empty((n, self.width))
-        out[:first] = self._data[start:start + first]
-        if first < n:
-            out[first:] = self._data[:n - first]
-        return out
-
-    def advance(self, n: int) -> None:
-        if n > self.count:
-            raise ValueError(f"advance of {n} rows exceeds fill level {self.count}")
-        self.read_pos += n
-
-    def read(self, n: int) -> np.ndarray:
-        out = self.peek(n)
-        self.advance(n)
-        return out
 
 
 @dataclass
@@ -108,7 +47,7 @@ class StreamPipeline:
     """
 
     def __init__(self, config: MelConfig | None = None, sample_rate: int | None = None,
-                 model=None, capacity_factor: int = DEFAULT_CAPACITY_FACTOR):
+                 model=None):
         if model is not None:
             if config is not None and config != model.feature_config:
                 raise ValueError("explicit config disagrees with the model's feature config")
@@ -118,8 +57,6 @@ class StreamPipeline:
             raise ValueError("need a MelConfig or a model")
         if sample_rate is None or sample_rate <= 0:
             raise ValueError("need a positive sample_rate")
-        if capacity_factor < 1:
-            raise ValueError("capacity_factor must be >= 1")
 
         self.config = config
         self.sample_rate = int(sample_rate)
@@ -127,79 +64,67 @@ class StreamPipeline:
         self._window = window_vector(config.window, config.frame_size)
         self._fb = mel_filterbank(config, self.sample_rate)
         self._compress = _compression_fn(config)
-        self._samples = RingBuffer(capacity_factor * config.frame_size, 1)
-        self._frames = None
+        # Samples of the next frame and rows of the next patch, each with its fill count.
+        self._tail = np.zeros(config.frame_size)
+        self._tail_held = 0
+        self._patch = None
+        self._patch_held = 0
         if model is not None:
             # A model that cannot take a (patch_frames, n_mels) patch fails here, not at
             # the first patch.
             patch_to_input(np.zeros((model.patch_frames, config.n_mels)), model)
-            self._frames = RingBuffer(capacity_factor * model.patch_frames, config.n_mels)
+            self._patch = np.zeros((model.patch_frames, config.n_mels))
         self._flushed = False
         self._pushes, self._push_total, self._push_min, self._push_max = 0, 0.0, float("inf"), 0.0
         self.frames_emitted = 0
         self.patches_emitted = 0
 
-    def _drain(self, frames_out: list, patches_out: list) -> bool:
-        cfg = self.config
-        progressed = False
-        # hop_size <= frame_size (enforced by MelConfig), so the advance
-        # below never outruns the fill level.
-        while self._samples.count >= cfg.frame_size:
-            seg = self._samples.peek(cfg.frame_size).T  # (1, frame_size)
-            self._samples.advance(cfg.hop_size)
-            mel = _mel_frame(seg, self._window, cfg.fft_size, self._fb,
-                             cfg.spectrum_type, self._compress)
-            frames_out.append(mel)
-            self.frames_emitted += 1
-            progressed = True
-            if self._frames is not None:
-                self._frames.write(mel)
-                if self._frames.count >= self.model.patch_frames:
-                    patch = self._frames.read(self.model.patch_frames)
-                    patches_out.append(run_patches(self.model, patch[None])[0])
-                    self.patches_emitted += 1
-        return progressed
-
-    def _result(self, frames: list, patches: list) -> PushResult:
-        n_mels = self.config.n_mels
-        f = np.concatenate(frames) if frames else np.empty((0, n_mels))
-        p = np.stack(patches) if patches else np.empty((0, 0), dtype=np.float32)
-        return PushResult(frames=f, patch_outputs=p)
+    def _patches(self, rows: np.ndarray) -> list:
+        """Append mel rows to the held patch; run each patch that fills."""
+        outputs, patch = [], self._patch
+        while len(rows):
+            take = min(len(patch) - self._patch_held, len(rows))
+            patch[self._patch_held:self._patch_held + take] = rows[:take]
+            rows, self._patch_held = rows[take:], self._patch_held + take
+            if self._patch_held == len(patch):
+                outputs.append(run_patches(self.model, patch[None])[0])
+                self._patch_held = 0
+        self.patches_emitted += len(outputs)
+        return outputs
 
     def push(self, chunk) -> PushResult:
         """Feed samples; returns everything newly computable."""
         if self._flushed:
             raise AlreadyFlushed("push after flush")
+        cfg = self.config
         chunk = np.asarray(chunk, dtype=np.float64).ravel()
         start = time.perf_counter()
-        frames: list = []
-        patches: list = []
-        i = 0
-        while True:
-            if i < chunk.size:
-                take = min(self._samples.free, chunk.size - i)
-                if take:
-                    self._samples.write(chunk[i:i + take])
-                    i += take
-            progressed = self._drain(frames, patches)
-            if i >= chunk.size and not progressed:
-                break
+        x = np.concatenate((self._tail[:self._tail_held], chunk))
+        segments = _frame_view(x, cfg.frame_size, cfg.hop_size)
+        t = len(segments)
+        frames = np.empty((t, cfg.n_mels))
+        for i in range(0, t, _MEL_BLOCK):
+            frames[i:i + _MEL_BLOCK] = _mel_frame(segments[i:i + _MEL_BLOCK], self._window,
+                                                  cfg.fft_size, self._fb, cfg.spectrum_type,
+                                                  self._compress)
+        rest = x[t * cfg.hop_size:]
+        self._tail[:rest.size] = rest
+        self._tail_held = rest.size
+        self.frames_emitted += t
+        patches = self._patches(frames) if self.model is not None else []
         elapsed = time.perf_counter() - start
         self._pushes += 1
         self._push_total += elapsed
         self._push_min = min(self._push_min, elapsed)
         self._push_max = max(self._push_max, elapsed)
-        return self._result(frames, patches)
+        return PushResult(frames=frames, patch_outputs=_stack(patches))
 
     def flush(self) -> PushResult:
         """Close the stream; trailing partial frames and patches are dropped."""
         if self._flushed:
             raise AlreadyFlushed("flush called twice")
-        frames: list = []
-        patches: list = []
-        self._drain(frames, patches)
         self._flushed = True
-        return self._result(frames, patches)
+        return PushResult(frames=np.empty((0, self.config.n_mels)), patch_outputs=_stack([]))
 
     def latency_report(self) -> LatencyReport:
         """Algorithmic latency plus wall-time stats over the pushes so far."""
@@ -216,3 +141,7 @@ class StreamPipeline:
                                  "mean": self._push_total / self._pushes,
                                  "max": self._push_max, "chunks": self._pushes},
         )
+
+
+def _stack(patches: list) -> np.ndarray:
+    return np.stack(patches) if patches else np.empty((0, 0), dtype=np.float32)

@@ -278,6 +278,8 @@ def train_head(table: EmbeddingTable, labels: dict[str, str], spec: HeadSpec,
     for track in labels:
         if track not in table.rows:
             raise DegenerateDataset(f"labeled track {track!r} missing from the embedding table")
+        if len(table.rows[track]) == 0:
+            raise DegenerateDataset(f"labeled track {track!r} has no embedding rows")
     classes = tuple(sorted(set(labels.values())))
     if len(classes) < 2:
         raise DegenerateDataset(f"need at least 2 classes, got {len(classes)}")

@@ -84,9 +84,10 @@ class TestDecoding:
         assert np.max(np.abs(buf.samples)) <= 1.0
 
     def test_peak_memory_per_sample(self, tmp_path):
-        # The file's bytes and its data chunk, the decoded and the mixed-down float64
-        # signal and a bool mask come to about 2.6 x 8 bytes per sample; one more
-        # float64 temporary (an unscaled copy, or |x| for the clip count) passes 3 x 8.
+        # The file's bytes, the decoded float64 signal (a mono file is not mixed down
+        # into a copy) and a bool mask come to about 1.4 x 8 bytes per sample; one more
+        # float64 temporary (a copy of the data chunk, a mixed-down or unscaled copy, or
+        # |x| for the clip count) passes 2 x 8.
         path = tmp_path / "t.wav"
         ms.write_wav(path, tone(440.0, 10.0), 16000)
         tracemalloc.start()
@@ -95,7 +96,7 @@ class TestDecoding:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * len(buf)
+        assert peak < 2 * 8 * len(buf)
 
     def test_extra_chunks_are_skipped(self, tmp_path):
         payload = struct.pack("<2h", 1000, -1000)

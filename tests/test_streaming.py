@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import melstream as ms
-from melstream.errors import AlreadyFlushed, BufferOverflow, InputShapeMismatch
-from melstream.streaming import RingBuffer
+import melstream.streaming
+from melstream.dsp import _MEL_BLOCK
+from melstream.errors import AlreadyFlushed, InputShapeMismatch
 
 from util import linear_classifier
 
@@ -36,53 +37,6 @@ def random_chunking(rng, total, lo=1, hi=5000):
         sizes.append(min(n, left))
         left -= sizes[-1]
     return sizes
-
-
-class TestRingBuffer:
-    def test_fifo_order_with_wraparound(self):
-        rb = RingBuffer(8)
-        rb.write(np.arange(6.0))
-        assert rb.read(4)[:, 0].tolist() == [0, 1, 2, 3]
-        rb.write(np.arange(10.0, 16.0))  # wraps
-        got = rb.read(8)[:, 0].tolist()
-        assert got == [4, 5, 10, 11, 12, 13, 14, 15]
-
-    def test_overflow(self):
-        rb = RingBuffer(4)
-        rb.write(np.zeros(3))
-        with pytest.raises(BufferOverflow):
-            rb.write(np.zeros(2))
-
-    def test_peek_does_not_consume(self):
-        rb = RingBuffer(8)
-        rb.write(np.arange(5.0))
-        assert rb.peek(3)[:, 0].tolist() == [0, 1, 2]
-        assert rb.count == 5
-        rb.advance(2)
-        assert rb.peek(3)[:, 0].tolist() == [2, 3, 4]
-
-    def test_peek_past_fill_level(self):
-        rb = RingBuffer(8)
-        rb.write(np.zeros(2))
-        with pytest.raises(ValueError):
-            rb.peek(3)
-        with pytest.raises(ValueError):
-            rb.advance(3)
-
-    def test_positions_are_monotonic(self):
-        rb = RingBuffer(4, width=2)
-        for _ in range(10):
-            rb.write(np.ones((3, 2)))
-            rb.advance(3)
-        assert rb.write_pos == 30
-        assert rb.read_pos == 30
-        assert rb.count == 0
-
-    def test_2d_rows(self):
-        rb = RingBuffer(4, width=3)
-        rows = np.arange(6.0).reshape(2, 3)
-        rb.write(rows)
-        assert np.array_equal(rb.read(2), rows)
 
 
 class TestStreamEqualsOffline:
@@ -122,9 +76,30 @@ class TestStreamEqualsOffline:
         x = rng.uniform(-1, 1, 50000)
         offline = ms.mel_spectrogram(ms.AudioBuffer(x, 8000), cfg).frames
         pipe = ms.StreamPipeline(config=cfg, sample_rate=8000)
-        assert pipe._samples.capacity == 4 * 128
         frames, _ = stream_all(pipe, x, [x.size])
         assert np.array_equal(frames, offline)
+
+    def test_kernel_called_through_module_name_in_blocks(self, monkeypatch):
+        # Tracers patch streaming._mel_frame and count its rows; no call may exceed the
+        # offline block, and the rows must add up to the frames emitted.
+        calls = []
+        kernel = melstream.streaming._mel_frame
+
+        def counting(segments, *args):
+            calls.append(len(segments))
+            return kernel(segments, *args)
+
+        monkeypatch.setattr(melstream.streaming, "_mel_frame", counting)
+        cfg = ms.MelConfig(frame_size=64, hop_size=32, n_mels=6, f_max=4000.0)
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-1, 1, 32 * 300 + 500)
+        offline = ms.mel_spectrogram(ms.AudioBuffer(x, 8000), cfg).frames
+        pipe = ms.StreamPipeline(config=cfg, sample_rate=8000)
+        frames, _ = stream_all(pipe, x, [32 * 300] + [1] * 500)
+        assert np.array_equal(frames, offline)
+        assert calls[0] == _MEL_BLOCK and max(calls) <= _MEL_BLOCK
+        assert all(n >= 1 for n in calls)
+        assert sum(calls) == pipe.frames_emitted == len(offline)
 
 
 class TestPartials:
@@ -213,21 +188,22 @@ class TestLatency:
         assert pipe.latency_report().algorithmic_latency == 512 + 185 * 256 == 47872
 
     def test_push_stats_do_not_grow_with_pushes(self):
-        pipe = ms.StreamPipeline(config=ms.preset("vgg-64"), sample_rate=16000)
-
-        def sizes():
+        def sizes(pipe):
             return {k: len(v) for k, v in vars(pipe).items() if hasattr(v, "__len__")}
 
-        for _ in range(10):
-            pipe.push(np.zeros(16))
-        before = sizes()
-        for _ in range(10 ** 4 - 10):
-            pipe.push(np.zeros(16))
-        assert sizes() == before
-        wall = pipe.latency_report().per_chunk_wall_time
-        assert wall["chunks"] == 10 ** 4
-        assert 0.0 <= wall["min"] <= wall["max"]
-        assert wall["min"] * (1 - 1e-9) <= wall["mean"] <= wall["max"] * (1 + 1e-9)
+        # With a model attached the held patch rows must not grow either.
+        for pipe in (ms.StreamPipeline(config=ms.preset("vgg-64"), sample_rate=16000),
+                     ms.StreamPipeline(model=linear_classifier(patch_frames=10))):
+            for _ in range(10):
+                pipe.push(np.zeros(16))
+            before = sizes(pipe)
+            for _ in range(10 ** 4 - 10):
+                pipe.push(np.zeros(16))
+            assert sizes(pipe) == before
+            wall = pipe.latency_report().per_chunk_wall_time
+            assert wall["chunks"] == 10 ** 4
+            assert 0.0 <= wall["min"] <= wall["max"]
+            assert wall["min"] * (1 - 1e-9) <= wall["mean"] <= wall["max"] * (1 + 1e-9)
 
     def test_report_requires_a_push(self):
         pipe = ms.StreamPipeline(config=ms.preset("vgg-64"), sample_rate=16000)

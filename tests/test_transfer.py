@@ -288,6 +288,13 @@ class TestTrainHead:
         with pytest.raises(DegenerateDataset):
             train_head(table, labels, ms.HeadSpec("A", 2), ms.TrainSpec(max_epochs=1))
 
+    def test_empty_table_row(self):
+        # A labelled track with no patches cannot be sampled from.
+        table, labels = toy_table()
+        table.rows["t003"] = table.rows["t003"][:0]
+        with pytest.raises(DegenerateDataset):
+            train_head(table, labels, ms.HeadSpec("A", 2), ms.TrainSpec(max_epochs=1))
+
     def test_single_class(self):
         table, labels = toy_table()
         labels = {t: "same" for t in labels}
