@@ -164,7 +164,7 @@ def cmd_predict(args) -> int:
     if args.stream:
         if args.audio:
             raise ConfigError("--stream reads from stdin; drop the audio argument")
-        pipe = StreamPipeline(model=graph, sample_rate=graph.sample_rate)
+        pipe = StreamPipeline(model=graph)
         rows, carry = [], b""  # carry: bytes of a float32 split across two reads
         while block := sys.stdin.buffer.read1(4 * _STREAM_CHUNK):
             raw = carry + block

@@ -2,9 +2,10 @@
 
 A graph is an ordered list of nodes over one input tensor. References
 must point backwards (earlier nodes, the graph input, or a weight), so
-validation rejects self or forward references as cycles. Shapes are
-inferred once at build time; evaluation checks the input shape and that
-every activation stays finite.
+validation rejects self or forward references as cycles. One pass at
+build time validates each node, resolves its weight params to arrays and
+infers its shape; evaluation runs the stored steps, checking the input
+shape and that every activation stays finite.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from ..dsp import MelConfig
 from ..errors import (CyclicGraph, InputShapeMismatch, ManifestError, MissingWeight,
-                      NonFiniteActivation, UnknownNode)
+                      NonFiniteActivation, ShapeMismatch, UnknownNode)
 from .ops import op_def, weight_param_names
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/]+$")
@@ -46,7 +47,9 @@ class ModelGraph:
     patch_frames: int
     feature_config: MelConfig
     sample_rate: int
-    node_shapes: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    node_shapes: dict[str, tuple[int, ...]]
+    # One (node, op kernel, resolved weight params) per node, in node order.
+    _steps: tuple = field(repr=False)
 
 
 def _check_name(name: str, what: str) -> None:
@@ -74,7 +77,6 @@ def normalize_params(name: str, op: str, given: dict) -> dict:
 def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
                 weights, labels, patch_frames, feature_config, sample_rate) -> ModelGraph:
     """Validate and assemble a ModelGraph; the single constructor for the package."""
-    nodes = tuple(nodes)
     labels = tuple(labels)
     input_shape = tuple(int(d) for d in input_shape)
 
@@ -91,90 +93,72 @@ def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
     weights = {str(k): np.ascontiguousarray(v, dtype=np.float32) for k, v in weights.items()}
     for wname in weights:
         _check_name(wname, "weight")
+    if input_name in weights:
+        raise ManifestError(f"weight name {input_name!r} collides with the input")
 
-    node_names: list[str] = []
-    normalized = []
+    nodes = tuple(nodes)
+    names = {node.name for node in nodes}
+    if output_name not in names:
+        raise ManifestError(f"output node {output_name!r} does not exist")
+    if embedding_name not in names:
+        raise ManifestError(f"embedding node {embedding_name!r} does not exist")
+
+    # One pass in order: shapes holds the input and every node defined so far.
+    shapes: dict[str, tuple[int, ...]] = {input_name: input_shape}
+    steps = []
     for node in nodes:
         _check_name(node.name, "node")
-        if node.name in node_names:
-            raise ManifestError(f"duplicate node name {node.name!r}")
-        if node.name == input_name or node.name in weights:
-            raise ManifestError(f"node name {node.name!r} collides with input or weight")
-        node_names.append(node.name)
-        normalized.append(Node(name=node.name, op=node.op, inputs=tuple(node.inputs),
-                               params=normalize_params(node.name, node.op, node.params)))
-    nodes = tuple(normalized)
-    name_set = set(node_names)
-
-    for index, node in enumerate(nodes):
-        d = op_def(node.op)
-        if d.max_inputs is not None and not d.min_inputs <= len(node.inputs) <= d.max_inputs:
+        if node.name in shapes or node.name in weights:
             raise ManifestError(
-                f"node {node.name!r}: op {node.op} takes {d.min_inputs}..{d.max_inputs} "
+                f"node name {node.name!r} is a duplicate or collides with input or weight")
+        d = op_def(node.op)
+        node = Node(name=node.name, op=node.op, inputs=tuple(node.inputs),
+                    params=normalize_params(node.name, node.op, node.params))
+        if len(node.inputs) < d.min_inputs or (
+                d.max_inputs is not None and len(node.inputs) > d.max_inputs):
+            raise ManifestError(
+                f"node {node.name!r}: op {node.op} takes {d.min_inputs}..{d.max_inputs or ''} "
                 f"inputs, got {len(node.inputs)}")
-        if len(node.inputs) < d.min_inputs:
-            raise ManifestError(f"node {node.name!r}: too few inputs")
-        earlier = set(node_names[:index])
         for ref in node.inputs:
-            if ref == input_name or ref in earlier or ref in weights:
+            if ref in shapes or ref in weights:
                 continue
-            if ref in name_set:
+            if ref in names:
                 raise CyclicGraph(
                     f"node {node.name!r} references {ref!r}, which is not defined earlier")
             raise ManifestError(f"node {node.name!r} references undefined name {ref!r}")
-        for p, (kind, _) in d.params.items():
-            if kind in ("weight", "weight_opt"):
-                wname = node.params.get(p)
-                if wname is None:
-                    continue
-                if wname not in weights:
-                    raise MissingWeight(f"node {node.name!r} references missing weight {wname!r}")
-
-    if output_name not in name_set:
-        raise ManifestError(f"output node {output_name!r} does not exist")
-    if embedding_name not in name_set:
-        raise ManifestError(f"embedding node {embedding_name!r} does not exist")
-
-    graph = ModelGraph(
-        input_name=input_name, input_shape=input_shape, output_name=output_name,
-        embedding_name=embedding_name, nodes=nodes, weights=weights, labels=labels,
-        patch_frames=int(patch_frames), feature_config=feature_config,
-        sample_rate=int(sample_rate))
-    graph.node_shapes = _infer_shapes(graph)
-
-    if labels:
-        out_shape = graph.node_shapes[output_name]
-        if out_shape != (len(labels),):
-            from ..errors import ShapeMismatch
-            raise ShapeMismatch(
-                f"{len(labels)} labels but output {output_name!r} has shape {out_shape}")
-    return graph
-
-
-def _infer_shapes(graph: ModelGraph) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {graph.input_name: graph.input_shape}
-    for node in graph.nodes:
-        d = op_def(node.op)
-        in_shapes = []
-        for ref in node.inputs:
-            in_shapes.append(shapes[ref] if ref in shapes else tuple(graph.weights[ref].shape))
-        wshapes = {}
+        wts = {}
         for p in weight_param_names(node.op):
-            wname = node.params.get(p)
-            if wname is not None:
-                wshapes[p] = tuple(graph.weights[wname].shape)
-            else:
-                wshapes[p] = None
+            wname = node.params[p]
+            if wname is not None and wname not in weights:
+                raise MissingWeight(f"node {node.name!r} references missing weight {wname!r}")
+            wts[p] = None if wname is None else weights[wname]
+        in_shapes = [shapes[r] if r in shapes else weights[r].shape for r in node.inputs]
+        wshapes = {p: None if w is None else w.shape for p, w in wts.items()}
         shapes[node.name] = tuple(int(x) for x in d.infer(in_shapes, wshapes, node.params))
-    return shapes
+        steps.append((node, d.apply, wts))
+
+    if labels and shapes[output_name] != (len(labels),):
+        raise ShapeMismatch(
+            f"{len(labels)} labels but output {output_name!r} has shape {shapes[output_name]}")
+    return ModelGraph(
+        input_name=input_name, input_shape=input_shape, output_name=output_name,
+        embedding_name=embedding_name, nodes=tuple(node for node, _, _ in steps),
+        weights=weights, labels=labels, patch_frames=int(patch_frames),
+        feature_config=feature_config, sample_rate=int(sample_rate), node_shapes=shapes,
+        _steps=tuple(steps))
 
 
-def _resolve_weights(graph: ModelGraph, node: Node) -> dict:
-    wts = {}
-    for p in weight_param_names(node.op):
-        wname = node.params.get(p)
-        wts[p] = graph.weights[wname] if wname is not None else None
-    return wts
+def _needed(graph: ModelGraph, target: str, given=()) -> set[str]:
+    """Every name ``target`` depends on, not looking past the names in ``given``.
+
+    Nodes are in topological order, so one sweep from the back reaches all
+    of them. The set holds the target, nodes, the graph input and weights.
+    """
+    needed = {target}
+    for node in reversed(graph.nodes):
+        if node.name in needed and node.name not in given:
+            needed.update(node.inputs)
+    return needed
 
 
 def forward_from(graph: ModelGraph, seeds: dict, until: str | None = None) -> np.ndarray:
@@ -185,41 +169,27 @@ def forward_from(graph: ModelGraph, seeds: dict, until: str | None = None) -> np
     an intermediate layer.
     """
     target = until if until is not None else graph.output_name
-    names = {n.name for n in graph.nodes}
-    if target != graph.input_name and target not in names:
+    if target not in graph.node_shapes:
         raise UnknownNode(f"no node named {target!r}")
 
     memo: dict[str, np.ndarray] = {}
     for key, value in seeds.items():
-        if key != graph.input_name and key not in names:
+        if key not in graph.node_shapes:
             raise UnknownNode(f"seed {key!r} names no node or input")
         arr = np.ascontiguousarray(value, dtype=np.float32)
-        expected = graph.input_shape if key == graph.input_name else graph.node_shapes[key]
-        if tuple(arr.shape) != expected:
-            raise InputShapeMismatch(f"{key!r} expects shape {expected}, got {arr.shape}")
+        if tuple(arr.shape) != graph.node_shapes[key]:
+            raise InputShapeMismatch(
+                f"{key!r} expects shape {graph.node_shapes[key]}, got {arr.shape}")
         memo[key] = arr
-    if target in memo:
-        return memo[target]
 
-    node_by_name = {n.name: n for n in graph.nodes}
-    needed: set[str] = set()
-    stack = [target]
-    while stack:
-        name = stack.pop()
-        if name in memo or name in needed or name in graph.weights:
-            continue
-        if name == graph.input_name:
-            raise InputShapeMismatch(f"graph input {graph.input_name!r} was not provided")
-        node = node_by_name[name]
-        needed.add(name)
-        stack.extend(node.inputs)
-
-    for node in graph.nodes:
-        if node.name not in needed:
+    needed = _needed(graph, target, memo)
+    if graph.input_name in needed and graph.input_name not in memo:
+        raise InputShapeMismatch(f"graph input {graph.input_name!r} was not provided")
+    for node, apply, wts in graph._steps:
+        if node.name not in needed or node.name in memo:
             continue
         inputs = [memo[r] if r in memo else graph.weights[r] for r in node.inputs]
-        out = op_def(node.op).apply(inputs, _resolve_weights(graph, node), node.params)
-        out = np.ascontiguousarray(out, dtype=np.float32)
+        out = np.ascontiguousarray(apply(inputs, wts, node.params), dtype=np.float32)
         if not np.all(np.isfinite(out)):
             raise NonFiniteActivation(f"node {node.name!r} produced non-finite values")
         memo[node.name] = out

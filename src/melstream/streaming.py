@@ -43,7 +43,8 @@ class StreamPipeline:
     Construct with either an explicit :class:`MelConfig` plus sample
     rate, or a loaded model graph (its embedded feature config and rate
     are used, and every completed patch of mel frames is run through the
-    graph). Input shorter than one patch yields no patch output.
+    graph; a config or rate given as well must agree with them). Input
+    shorter than one patch yields no patch output.
     """
 
     def __init__(self, config: MelConfig | None = None, sample_rate: int | None = None,
@@ -51,6 +52,9 @@ class StreamPipeline:
         if model is not None:
             if config is not None and config != model.feature_config:
                 raise ValueError("explicit config disagrees with the model's feature config")
+            if sample_rate is not None and sample_rate != model.sample_rate:
+                raise ValueError(f"sample_rate {sample_rate} disagrees with the model's "
+                                 f"{model.sample_rate} Hz")
             config = model.feature_config
             sample_rate = model.sample_rate
         if config is None:

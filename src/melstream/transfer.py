@@ -26,7 +26,8 @@ import numpy as np
 from .audio_io import load_pcm
 from .errors import (DegenerateDataset, DimMismatch, MelstreamError,
                      NonFiniteGradient, NonFiniteLoss)
-from .inference.graph import ModelGraph, Node, build_graph
+from .inference.graph import ModelGraph, Node, _needed, build_graph
+from .inference.ops import weight_param_names
 from .inference.prediction import embed_patches
 
 VARIANTS = ("A", "B")
@@ -63,7 +64,6 @@ class HeadSpec:
 @dataclass(frozen=True)
 class TrainSpec:
     batch_size: int = 32
-    segment_seconds: float = 3.0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -75,7 +75,7 @@ class TrainSpec:
     seed: int = 42
 
     def __post_init__(self):
-        positive = ("batch_size", "segment_seconds", "beta1", "beta2", "epsilon",
+        positive = ("batch_size", "beta1", "beta2", "epsilon",
                     "initial_lr", "lr_patience_epochs", "lr_factor")
         for name in positive:
             if getattr(self, name) <= 0:
@@ -122,9 +122,7 @@ def extract_embeddings(graph: ModelGraph, dataset, pad_short: bool = True) -> Em
     Per-track failures (unreadable files, tracks too short with padding
     off) are collected in ``skipped`` rather than raised.
     """
-    dim = 1
-    for d in graph.node_shapes[graph.embedding_name]:
-        dim *= d
+    dim = math.prod(graph.node_shapes[graph.embedding_name])
     table = EmbeddingTable(rows={}, dim=dim, source_layer=graph.embedding_name)
     for entry in dataset.entries:
         try:
@@ -205,26 +203,24 @@ def head_loss_and_grads(layers, x: np.ndarray, y: np.ndarray, variant: str):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     n = x.shape[0]
-    if variant == "A":
-        w, b = layers[0]
-        probs = _softmax64(x @ w + b)
-        loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-        d_logits = probs.copy()
-        d_logits[np.arange(n), y] -= 1.0
-        d_logits /= n
-        return loss, [x.T @ d_logits, d_logits.sum(axis=0)]
-    (w1, b1), (w2, b2) = layers
-    pre = x @ w1 + b1
-    hidden = np.maximum(pre, 0.0)
-    probs = _softmax64(hidden @ w2 + b2)
+    # Variant B puts a relu layer in front; the softmax layer sees its output.
+    top = x
+    if variant == "B":
+        w1, b1 = layers[0]
+        pre = x @ w1 + b1
+        top = np.maximum(pre, 0.0)
+    w, b = layers[-1]
+    probs = _softmax64(top @ w + b)
     loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
     d_logits = probs.copy()
     d_logits[np.arange(n), y] -= 1.0
     d_logits /= n
-    d_hidden = d_logits @ w2.T
+    grads = [top.T @ d_logits, d_logits.sum(axis=0)]
+    if variant == "A":
+        return loss, grads
+    d_hidden = d_logits @ w.T
     d_hidden[pre <= 0.0] = 0.0
-    return loss, [x.T @ d_hidden, d_hidden.sum(axis=0),
-                  hidden.T @ d_logits, d_logits.sum(axis=0)]
+    return loss, [x.T @ d_hidden, d_hidden.sum(axis=0)] + grads
 
 
 def _flatten_layers(layers):
@@ -378,34 +374,18 @@ def export_head(weights: HeadWeights, backbone: ModelGraph) -> ModelGraph:
     serializes and reloads bit-exactly.
     """
     emb_shape = backbone.node_shapes[backbone.embedding_name]
-    emb_dim = 1
-    for d in emb_shape:
-        emb_dim *= d
+    emb_dim = math.prod(emb_shape)
     if emb_dim != weights.input_dim:
         raise DimMismatch(
             f"head expects {weights.input_dim}-dim input, backbone embedding "
             f"{backbone.embedding_name!r} yields {emb_dim}")
 
-    # Keep only what the embedding needs.
-    node_by_name = {n.name: n for n in backbone.nodes}
-    needed: set[str] = set()
-    stack = [backbone.embedding_name]
-    while stack:
-        name = stack.pop()
-        if name in needed or name not in node_by_name:
-            continue
-        needed.add(name)
-        stack.extend(node_by_name[name].inputs)
+    # Keep only what the embedding needs, with the weights it reads as params or inputs.
+    needed = _needed(backbone, backbone.embedding_name)
     nodes = [n for n in backbone.nodes if n.name in needed]
-
     new_weights: dict[str, np.ndarray] = {}
-    from .inference.ops import weight_param_names
     for node in nodes:
-        for p in weight_param_names(node.op):
-            wname = node.params.get(p)
-            if wname is not None:
-                new_weights[wname] = backbone.weights[wname]
-        for ref in node.inputs:
+        for ref in [node.params[p] for p in weight_param_names(node.op)] + list(node.inputs):
             if ref in backbone.weights:
                 new_weights[ref] = backbone.weights[ref]
 

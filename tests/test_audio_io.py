@@ -224,6 +224,24 @@ class TestResampler:
         for out in outs[1:]:
             assert np.array_equal(out, outs[0])
 
+    def test_kernel_evaluated_once_per_phase(self, monkeypatch):
+        # 44101 -> 16000 is coprime: up = 16000 phases, more than one block
+        # holds. 4 s gives 64000 outputs, so a table per block would evaluate
+        # every phase four times.
+        source, target = 44101, 16000
+        _, _, half = audio_io._kernel_design(source, target)
+        evaluated = []
+        i0 = np.i0
+
+        def counting_i0(x):
+            evaluated.append(np.size(x))
+            return i0(x)
+
+        monkeypatch.setattr(np, "i0", counting_i0)
+        x = np.random.default_rng(5).standard_normal(4 * source)
+        ms.resample(ms.AudioBuffer(x, source), target)
+        assert sum(evaluated) <= target * (2 * half + 1) + 1
+
 
 class TestAudioBuffer:
     def test_rejects_empty(self):

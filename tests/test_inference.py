@@ -243,6 +243,11 @@ class TestGraphValidation:
         with pytest.raises(ManifestError):
             build(nodes, {}, (4,), "a")
 
+    def test_weight_named_like_input(self):
+        nodes = [ms.Node("a", "relu", ("in",), {})]
+        with pytest.raises(ManifestError, match="collides"):
+            build(nodes, {"in": np.ones(4, dtype=np.float32)}, (4,), "a")
+
     def test_output_must_exist(self):
         nodes = [ms.Node("a", "relu", ("in",), {})]
         with pytest.raises(ManifestError):
@@ -313,6 +318,25 @@ class TestForward:
         g = build(nodes, {}, (4,), "b")
         with pytest.raises(InputShapeMismatch):
             ms.forward_from(g, {}, "b")
+
+    @staticmethod
+    def diamond():
+        # in -> a, in -> b, c = concat(a, b)
+        nodes = [ms.Node("a", "relu", ("in",), {}),
+                 ms.Node("b", "sigmoid", ("in",), {}),
+                 ms.Node("c", "concat", ("a", "b"), {"axis": 0})]
+        return build(nodes, {}, (4,), "c")
+
+    def test_diamond_one_seeded_branch_still_needs_input(self):
+        g = self.diamond()
+        with pytest.raises(InputShapeMismatch, match="not provided"):
+            ms.forward_from(g, {"a": np.zeros(4, dtype=np.float32)}, "c")
+
+    def test_diamond_both_branches_seeded_skip_input(self):
+        g = self.diamond()
+        x = np.array([-1.0, 2.0, -3.0, 4.0], dtype=np.float32)
+        seeds = {"a": ms.forward(g, x, "a"), "b": ms.forward(g, x, "b")}
+        assert np.array_equal(ms.forward_from(g, seeds, "c"), ms.forward(g, x))
 
 
 class TestPatches:

@@ -159,6 +159,13 @@ class TestModelStreaming:
         with pytest.raises(ValueError):
             ms.StreamPipeline(config=other, model=graph)
 
+    def test_rate_model_disagreement(self):
+        graph = linear_classifier()
+        with pytest.raises(ValueError, match="sample_rate"):
+            ms.StreamPipeline(model=graph, sample_rate=44100)
+        pipe = ms.StreamPipeline(model=graph, sample_rate=graph.sample_rate)
+        assert pipe.sample_rate == graph.sample_rate
+
     def test_model_input_checked_at_construction(self):
         cfg = ms.MelConfig(frame_size=64, hop_size=32, n_mels=6, f_max=4000.0)
         graph = ms.build_graph(input_name="in", input_shape=(5, 6, 1), output_name="flat",

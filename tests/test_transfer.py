@@ -485,6 +485,28 @@ class TestExportHead:
         assert composite.output_name == "head_softmax_1"
         assert "head_dense_w_1" in composite.weights
 
+    def test_weight_read_as_node_input_kept(self):
+        # The embedding concatenates a weight read as an input, not as a param.
+        rng = np.random.default_rng(3)
+        nodes = [ms.Node("flat", "flatten", ("in",), {}),
+                 ms.Node("emb", "concat", ("flat", "extra"), {"axis": 0}),
+                 ms.Node("tail", "dense", ("emb",), {"weight": "tail_w"})]
+        weights = {"extra": rng.normal(size=3).astype(np.float32),
+                   "tail_w": rng.normal(size=(15, 2)).astype(np.float32)}
+        backbone = ms.build_graph(input_name="in", input_shape=(4, 3, 1),
+                                  output_name="tail", embedding_name="emb", nodes=nodes,
+                                  weights=weights, labels=(), patch_frames=4,
+                                  feature_config=CFG, sample_rate=8000)
+        head = ms.HeadWeights(layers=[(np.zeros((15, 2)), np.zeros(2))],
+                              classes=("a", "b"), variant="A", input_dim=15,
+                              training_log=[], best_epoch=0,
+                              train_tracks=(), val_tracks=())
+        composite = ms.export_head(head, backbone)
+        assert list(composite.weights)[:1] == ["extra"]
+        assert "tail_w" not in composite.weights
+        x = rng.uniform(-1, 1, (4, 3, 1)).astype(np.float32)
+        assert np.array_equal(ms.forward(composite, x, "emb"), ms.forward(backbone, x, "emb"))
+
     def test_round_trips_through_container(self, tmp_path):
         backbone = tiny_backbone()
         _, weights = self._train_tiny("B", backbone)
