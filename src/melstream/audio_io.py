@@ -28,6 +28,8 @@ _WAVE_FLOAT = 0x0003
 _WAVE_EXTENSIBLE = 0xFFFE
 
 _MAX_CHANNELS = 8
+# Highest sample rate read or resampled; it bounds the resampler's phase table.
+_MAX_RATE = 384000
 
 # Resampler quality preset: stopband attenuation and the fraction of the
 # smaller Nyquist treated as guaranteed passband.
@@ -102,6 +104,8 @@ def _parse_wav(data: bytes):
         (tag,) = struct.unpack_from("<H", fmt, 24)
     if rate <= 0:
         raise CorruptHeader(f"invalid sample rate {rate}")
+    if rate > _MAX_RATE:
+        raise UnsupportedFormat(f"sample rate {rate} Hz above the supported {_MAX_RATE}")
     return tag, channels, rate, bits, payload
 
 
@@ -182,11 +186,12 @@ def _kernel_design(source: int, target: int):
 
 
 def _resample_sinc(x: np.ndarray, source: int, target: int) -> np.ndarray:
-    """Polyphase resampling from one table of every phase's taps.
+    """Polyphase resampling from one table of the phases the output uses.
 
-    The table is ``up x taps`` float64, with ``up = target / gcd``: 65 KB for
-    44100 -> 16000, 6.5 MB for 44101 -> 16000 and at most about 29 MB for any
-    rate pair up to 192 kHz.
+    Output j uses phase ``j * down % up``, which repeats with period
+    ``up = target / gcd``, so the table holds ``min(n_out, up)`` rows of taps
+    in float64: 65 KB for 44100 -> 16000, 6.5 MB for 44101 -> 16000, and
+    under about 60 MB for any rate pair up to ``_MAX_RATE`` (384 kHz).
     """
     cutoff, beta, half = _kernel_design(source, target)
     g = np.gcd(source, target)
@@ -196,18 +201,18 @@ def _resample_sinc(x: np.ndarray, source: int, target: int) -> np.ndarray:
     # inside marks which of those taps fall within x.
     windows = sliding_window_view(np.pad(x, half), offsets.size)
     inside = sliding_window_view(np.pad(np.ones(x.size), half), offsets.size)
-    # Row p holds the taps of phase p.
-    tau = np.arange(up)[:, None] / up - offsets
+    out = np.empty(int(round(x.size * target / source)))
+    # Row r holds the taps of output r's phase, r * down % up; output j uses row j % up.
+    tau = (np.arange(min(out.size, up), dtype=np.int64) * down % up)[:, None] / up - offsets
     win_arg = np.clip(1.0 - (tau / half) ** 2, 0.0, None)
     table = np.sinc(2.0 * cutoff * tau) * (np.i0(beta * np.sqrt(win_arg)) / np.i0(beta))
     table *= np.abs(tau) <= half
-    out = np.empty(int(round(x.size * target / source)))
     for start in range(0, out.size, _RESAMPLE_BLOCK):
-        # Output j reads sample j * down // up at phase j * down % up: exact,
-        # where flooring a float position can land one sample off.
-        base, phase = np.divmod(np.arange(start, min(start + _RESAMPLE_BLOCK, out.size),
-                                          dtype=np.int64) * down, up)
-        taps = table[phase]
+        # Output j reads sample j * down // up: exact, where flooring a float
+        # position can land one sample off.
+        j = np.arange(start, min(start + _RESAMPLE_BLOCK, out.size), dtype=np.int64)
+        base = j * down // up
+        taps = table[j % up]
         # Each row is divided by the sum of its taps inside x, so edges keep constants constant.
         out[start:start + base.size] = (np.einsum("ij,ij->i", windows[base], taps)
                                         / np.einsum("ij,ij->i", inside[base], taps))
@@ -220,6 +225,9 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if target_rate == buf.sample_rate:
         return buf
+    if max(buf.sample_rate, target_rate) > _MAX_RATE:
+        raise ValueError(f"cannot resample {buf.sample_rate} -> {target_rate} Hz: "
+                         f"rates above {_MAX_RATE} are not supported")
     y = _resample_sinc(buf.samples, buf.sample_rate, target_rate)
     if y.size == 0:
         raise EmptyAudio("resampling produced no output samples")

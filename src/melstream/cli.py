@@ -22,13 +22,14 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import __version__
 from .audio_io import load_pcm
-from .dsp import (MEL_SCALES, PRESET_SAMPLE_RATE, PRESETS, SPECTRUM_TYPES,
-                  WINDOWS, MelConfig, mel_spectrogram, preset)
+from .dsp import (_CHOICES, PRESET_SAMPLE_RATE, PRESETS, MelConfig, _field_type,
+                  mel_spectrogram, preset)
 from .errors import (AudioIOError, ConfigError, DegenerateDataset, EvalError,
                      MelstreamError, ModelLoadError, SignalTooShort,
                      TrackTooShort, TrainingError)
@@ -114,9 +115,7 @@ def _reproducibility(seed: int, params: dict) -> dict:
             "version": __version__}
 
 
-_FEATURE_FLAGS = ("frame_size", "hop_size", "n_mels", "window", "fft_size",
-                  "f_min", "f_max", "mel_scale", "filter_norm", "spectrum_type",
-                  "compression", "sample_rate")
+_FEATURE_FLAGS = tuple(f.name for f in fields(MelConfig)) + ("sample_rate",)
 
 
 def _melspec_config(args) -> tuple[MelConfig, int | None]:
@@ -126,8 +125,8 @@ def _melspec_config(args) -> tuple[MelConfig, int | None]:
             raise ConfigError(
                 f"--preset conflicts with explicit feature flags: {sorted(given)}")
         return preset(args.preset), PRESET_SAMPLE_RATE
-    required = ("frame_size", "hop_size", "n_mels")
-    missing = [f"--{k.replace('_', '-')}" for k in required if k not in given]
+    missing = [f"--{f.name.replace('_', '-')}" for f in fields(MelConfig)
+               if f.default is MISSING and f.name not in given]
     if missing:
         raise ConfigError(f"either --preset or explicit flags required; missing {missing}")
     rate = given.pop("sample_rate", None)
@@ -374,17 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("melspec", help="mel spectrogram of a WAV file")
     p.add_argument("audio")
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--frame-size", type=int)
-    p.add_argument("--hop-size", type=int)
-    p.add_argument("--n-mels", type=int)
-    p.add_argument("--window", choices=WINDOWS)
-    p.add_argument("--fft-size", type=int)
-    p.add_argument("--f-min", type=float)
-    p.add_argument("--f-max", type=float)
-    p.add_argument("--mel-scale", choices=MEL_SCALES)
-    p.add_argument("--filter-norm")
-    p.add_argument("--spectrum-type", choices=SPECTRUM_TYPES)
-    p.add_argument("--compression")
+    for f in fields(MelConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=_field_type(f),
+                       choices=_CHOICES.get(f.name))
     p.add_argument("--sample-rate", type=int, help="analysis rate; default: the file's rate")
     p.add_argument("--stream", action="store_true",
                    help="run through the streaming pipeline in --chunk sample pieces")

@@ -24,10 +24,13 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .errors import ConfigError, EmptyFilter, SignalTooShort
 
-WINDOWS = ("hann", "hamming", "blackman-harris", "rectangular")
-MEL_SCALES = ("htk", "slaney")
-FILTER_NORMS = ("none", "area", "band-width")
-SPECTRUM_TYPES = ("magnitude", "power")
+# Allowed names per MelConfig field; its checks and the melspec flag choices read them here.
+_CHOICES = {
+    "window": ("hann", "hamming", "blackman-harris", "rectangular"),
+    "mel_scale": ("htk", "slaney"),
+    "filter_norm": ("none", "area", "band-width"),
+    "spectrum_type": ("magnitude", "power"),
+}
 
 LOG_FLOOR = 1e-10
 
@@ -129,14 +132,9 @@ class MelConfig:
         object.__setattr__(self, "fft_size", int(fft))
         if self.n_mels < 1:
             raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
-        if self.window not in WINDOWS:
-            raise ConfigError(f"unknown window {self.window!r}")
-        if self.mel_scale not in MEL_SCALES:
-            raise ConfigError(f"unknown mel scale {self.mel_scale!r}")
-        if self.filter_norm not in FILTER_NORMS:
-            raise ConfigError(f"unknown filter norm {self.filter_norm!r}")
-        if self.spectrum_type not in SPECTRUM_TYPES:
-            raise ConfigError(f"unknown spectrum type {self.spectrum_type!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
         if not (math.isfinite(self.f_min) and math.isfinite(self.f_max)):
             raise ConfigError("f_min and f_max must be finite")
         if self.f_min < 0 or self.f_min >= self.f_max:
@@ -162,21 +160,14 @@ class MelConfig:
         if missing:
             raise ConfigError(f"missing config keys {sorted(missing)}")
         try:
-            return cls(
-                frame_size=int(kv["frame_size"]),
-                hop_size=int(kv["hop_size"]),
-                n_mels=int(kv["n_mels"]),
-                window=kv["window"],
-                fft_size=int(kv["fft_size"]),
-                f_min=float(kv["f_min"]),
-                f_max=float(kv["f_max"]),
-                mel_scale=kv["mel_scale"],
-                filter_norm=kv["filter_norm"],
-                spectrum_type=kv["spectrum_type"],
-                compression=kv["compression"],
-            )
+            return cls(**{f.name: _field_type(f)(kv[f.name]) for f in fields(cls)})
         except ValueError as e:
             raise ConfigError(f"bad config value: {e}") from None
+
+
+def _field_type(f) -> type:
+    """The type a field's text is parsed with, read from its annotation (``int | None`` is int)."""
+    return {"int": int, "float": float, "str": str}[f.type.split(" | ")[0]]
 
 
 PRESET_SAMPLE_RATE = 16000
@@ -203,7 +194,7 @@ def preset(name: str) -> MelConfig:
 
 def window_vector(kind: str, length: int) -> np.ndarray:
     """Periodic window of the given length."""
-    if kind not in WINDOWS:
+    if kind not in _CHOICES["window"]:
         raise ConfigError(f"unknown window {kind!r}")
     if kind == "rectangular":
         return np.ones(length)
@@ -243,7 +234,7 @@ def power_spectrum(frame: np.ndarray, window: str = "rectangular",
     n = fft_size if fft_size is not None else _next_pow2(x.size)
     if n < x.size or n & (n - 1):
         raise ConfigError(f"fft_size must be a power of two >= frame length, got {n}")
-    if spectrum_type not in SPECTRUM_TYPES:
+    if spectrum_type not in _CHOICES["spectrum_type"]:
         raise ConfigError(f"unknown spectrum type {spectrum_type!r}")
     return _spectrum(x * window_vector(window, x.size), n, spectrum_type)
 
@@ -266,24 +257,21 @@ def mel_filterbank(config: MelConfig, sample_rate: int) -> np.ndarray:
                           hz_to_mel(config.f_max, config.mel_scale),
                           config.n_mels + 2)
     hz_pts = mel_to_hz(mel_pts, config.mel_scale)
-    n_bins = config.fft_size // 2 + 1
-    bin_hz = np.arange(n_bins) * (sample_rate / config.fft_size)
-
-    fb = np.zeros((config.n_mels, n_bins))
-    for i in range(config.n_mels):
-        lo, center, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
-        up = (bin_hz - lo) / (center - lo)
-        down = (hi - bin_hz) / (hi - center)
-        tri = np.clip(np.minimum(up, down), 0.0, None)
-        if not tri.any():
-            raise EmptyFilter(
-                f"mel filter {i} ({lo:.1f}-{hi:.1f} Hz) has no nonzero weight "
-                f"at fft_size {config.fft_size}")
-        if config.filter_norm == "area":
-            tri = tri / tri.sum()
-        elif config.filter_norm == "band-width":
-            tri = tri * (2.0 / (hi - lo))
-        fb[i] = tri
+    bin_hz = np.arange(config.fft_size // 2 + 1) * (sample_rate / config.fft_size)
+    # Row i is filter i: columns of its lower edge, centre and upper edge in Hz.
+    lo, center, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
+    fb = np.clip(np.minimum((bin_hz - lo) / (center - lo), (hi - bin_hz) / (hi - center)),
+                 0.0, None)
+    empty = np.flatnonzero(~fb.any(axis=1))
+    if empty.size:
+        i = empty[0]
+        raise EmptyFilter(
+            f"mel filter {i} ({hz_pts[i]:.1f}-{hz_pts[i + 2]:.1f} Hz) has no nonzero weight "
+            f"at fft_size {config.fft_size}")
+    if config.filter_norm == "area":
+        fb /= fb.sum(axis=1, keepdims=True)
+    elif config.filter_norm == "band-width":
+        fb *= 2.0 / (hi - lo)
     return fb
 
 
@@ -296,6 +284,12 @@ def _compression_fn(config: MelConfig):
     if kind == "log10":
         return lambda x: np.log10(np.maximum(x, LOG_FLOOR))
     return lambda x: np.log10(1.0 + scale * x)
+
+
+def _front_end(config: MelConfig, sample_rate: int) -> tuple:
+    """The kernel's trailing arguments: window, FFT size, filterbank, spectrum type, compression."""
+    return (window_vector(config.window, config.frame_size), config.fft_size,
+            mel_filterbank(config, sample_rate), config.spectrum_type, _compression_fn(config))
 
 
 def _mel_frame(segments: np.ndarray, window: np.ndarray, fft_size: int,
@@ -333,12 +327,9 @@ def mel_spectrogram(buf: AudioBuffer, config: MelConfig) -> MelSpectrogram:
     """Offline mel spectrogram of a whole buffer."""
     x = buf.samples
     t = frame_count(x.size, config.frame_size, config.hop_size)
-    window = window_vector(config.window, config.frame_size)
-    fb = mel_filterbank(config, buf.sample_rate)
-    compress = _compression_fn(config)
+    front = _front_end(config, buf.sample_rate)
     segments = _frame_view(x, config.frame_size, config.hop_size)
     out = np.empty((t, config.n_mels))
     for i in range(0, t, _MEL_BLOCK):
-        out[i:i + _MEL_BLOCK] = _mel_frame(segments[i:i + _MEL_BLOCK], window, config.fft_size,
-                                           fb, config.spectrum_type, compress)
+        out[i:i + _MEL_BLOCK] = _mel_frame(segments[i:i + _MEL_BLOCK], *front)
     return MelSpectrogram(out, config, buf.sample_rate)

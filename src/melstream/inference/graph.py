@@ -67,6 +67,8 @@ def normalize_params(name: str, op: str, given: dict) -> dict:
     for p, (kind, default) in schema.items():
         if p in given:
             params[p] = given[p]
+            if kind.startswith("int_pair") and given[p] is not None and min(given[p]) < 1:
+                raise ManifestError(f"node {name!r}: {p} must be positive, got {given[p]}")
         elif default is None and kind not in ("weight_opt", "int_pair_opt"):
             raise ManifestError(f"node {name!r}: op {op!r} requires {p!r}")
         else:

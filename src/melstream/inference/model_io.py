@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..dsp import MelConfig
-from ..errors import ManifestError, MissingWeight, ModelLoadError, ShapeMismatch
+from ..errors import ConfigError, ManifestError, MissingWeight, ModelLoadError, ShapeMismatch
 from .graph import FORMAT_VERSION, ModelGraph, Node, build_graph, normalize_params
 from .ops import op_def, weight_param_names
 
@@ -86,7 +86,10 @@ def read_weights(path) -> dict[str, np.ndarray]:
             if end > len(data):
                 raise ModelLoadError("weights file truncated inside tensor data")
             arr = np.frombuffer(data, dtype="<f4", count=n, offset=offset)
-            weights[name] = arr.reshape(dims).astype(np.float32)
+            try:
+                weights[name] = arr.reshape(dims).astype(np.float32)
+            except ValueError as e:  # numpy refuses the rank or the dims
+                raise ModelLoadError(f"bad tensor shape in weights file: {e}") from None
             offset = end
     except struct.error:
         raise ModelLoadError("weights file truncated") from None
@@ -205,7 +208,10 @@ def parse_manifest(text: str) -> dict:
     if version != FORMAT_VERSION:
         raise ManifestError(f"unsupported manifest format_version {version}")
     labels = tuple(s for s in seen.get("labels", "").split(";") if s)
-    config = MelConfig.from_kv(feature_kv)
+    try:
+        config = MelConfig.from_kv(feature_kv)
+    except ConfigError as e:
+        raise ManifestError(f"bad feature_config: {e}") from None
 
     return {
         "input_name": input_name,

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import (_MEL_BLOCK, MelConfig, _compression_fn, _frame_view, _mel_frame,
-                  mel_filterbank, window_vector)
+from .dsp import _MEL_BLOCK, MelConfig, _frame_view, _front_end, _mel_frame
 from .errors import AlreadyFlushed
 from .inference.prediction import patch_to_input, run_patches
 
@@ -65,9 +64,7 @@ class StreamPipeline:
         self.config = config
         self.sample_rate = int(sample_rate)
         self.model = model
-        self._window = window_vector(config.window, config.frame_size)
-        self._fb = mel_filterbank(config, self.sample_rate)
-        self._compress = _compression_fn(config)
+        self._front = _front_end(config, self.sample_rate)
         # Samples of the next frame and rows of the next patch, each with its fill count.
         self._tail = np.zeros(config.frame_size)
         self._tail_held = 0
@@ -108,9 +105,7 @@ class StreamPipeline:
         t = len(segments)
         frames = np.empty((t, cfg.n_mels))
         for i in range(0, t, _MEL_BLOCK):
-            frames[i:i + _MEL_BLOCK] = _mel_frame(segments[i:i + _MEL_BLOCK], self._window,
-                                                  cfg.fft_size, self._fb, cfg.spectrum_type,
-                                                  self._compress)
+            frames[i:i + _MEL_BLOCK] = _mel_frame(segments[i:i + _MEL_BLOCK], *self._front)
         rest = x[t * cfg.hop_size:]
         self._tail[:rest.size] = rest
         self._tail_held = rest.size

@@ -65,6 +65,47 @@ def ref_filterbank(n_mels: int, fft_size: int, sample_rate: int, f_min: float,
     return fb
 
 
+def ref_mel_filterbank(n_mels: int, fft_size: int, sample_rate: int, f_min: float,
+                       f_max: float, scale: str, norm: str) -> np.ndarray:
+    """The filterbank built one filter at a time, the way the package once did.
+
+    Unlike :func:`ref_filterbank` this repeats the package's own numpy
+    arithmetic, so a filterbank that agrees with it agrees bit for bit. An
+    empty filter raises ValueError with the package's EmptyFilter message.
+    """
+    def to_mel(f):
+        f = np.asarray(f, dtype=np.float64)
+        if scale == "htk":
+            return 2595.0 * np.log10(1.0 + f / 700.0)
+        return np.where(f < 1000.0, f / (200.0 / 3.0),
+                        15.0 + np.log(np.maximum(f, 1000.0) / 1000.0) / (math.log(6.4) / 27.0))
+
+    def to_hz(m):
+        if scale == "htk":
+            return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
+        return np.where(m < 15.0, m * (200.0 / 3.0),
+                        1000.0 * np.exp(math.log(6.4) / 27.0 * (np.maximum(m, 15.0) - 15.0)))
+
+    hz_pts = to_hz(np.linspace(float(to_mel(f_min)), float(to_mel(f_max)), n_mels + 2))
+    n_bins = fft_size // 2 + 1
+    bin_hz = np.arange(n_bins) * (sample_rate / fft_size)
+    fb = np.zeros((n_mels, n_bins))
+    for i in range(n_mels):
+        lo, center, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
+        up = (bin_hz - lo) / (center - lo)
+        down = (hi - bin_hz) / (hi - center)
+        tri = np.clip(np.minimum(up, down), 0.0, None)
+        if not tri.any():
+            raise ValueError(f"mel filter {i} ({lo:.1f}-{hi:.1f} Hz) has no nonzero weight "
+                             f"at fft_size {fft_size}")
+        if norm == "area":
+            tri = tri / tri.sum()
+        elif norm == "band-width":
+            tri = tri * (2.0 / (hi - lo))
+        fb[i] = tri
+    return fb
+
+
 _DFT_MATRICES: dict[int, np.ndarray] = {}
 
 

@@ -142,6 +142,22 @@ class TestDecodingErrors:
         with pytest.raises(UnsupportedFormat):
             ms.load_pcm(path)
 
+    def test_rate_above_cap_rejected_before_any_table(self, tmp_path):
+        # Resampling a 4294967295 Hz header to 16 kHz would ask for a 117 GiB
+        # phase table; no target is given here, so nothing large is allocated.
+        path = tmp_path / "t.wav"
+        ms.write_wav(path, tone(440.0, 0.01), 16000)
+        data = bytearray(path.read_bytes())
+        for rate, ok in ((384000, True), (384001, False),
+                         (0xFFFFFFFF, False)):
+            struct.pack_into("<I", data, 24, rate)
+            path.write_bytes(bytes(data))
+            if ok:
+                assert ms.load_pcm(path).sample_rate == rate
+            else:
+                with pytest.raises(UnsupportedFormat, match="sample rate"):
+                    ms.load_pcm(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             ms.load_pcm(tmp_path / "nope.wav")
@@ -241,6 +257,32 @@ class TestResampler:
         x = np.random.default_rng(5).standard_normal(4 * source)
         ms.resample(ms.AudioBuffer(x, source), target)
         assert sum(evaluated) <= target * (2 * half + 1) + 1
+
+    def test_short_input_evaluates_only_used_phases(self, monkeypatch):
+        # 7 samples at 44101 Hz give 3 outputs at 16000 Hz; the 16000-phase
+        # table would evaluate more than 5000 times as many taps.
+        source, target = 44101, 16000
+        _, _, half = audio_io._kernel_design(source, target)
+        evaluated = []
+        i0 = np.i0
+
+        def counting_i0(x):
+            evaluated.append(np.size(x))
+            return i0(x)
+
+        monkeypatch.setattr(np, "i0", counting_i0)
+        x = np.random.default_rng(7).standard_normal(7)
+        out = ms.resample(ms.AudioBuffer(x, source), target).samples
+        assert sum(evaluated) <= out.size * (2 * half + 1) + 1
+
+    @pytest.mark.parametrize("source,target", [(384001, 16000), (16000, 384001)])
+    def test_rates_above_cap_rejected(self, source, target):
+        with pytest.raises(ValueError, match="not supported"):
+            ms.resample(ms.AudioBuffer(np.ones(16), source), target)
+
+    def test_rate_at_cap_accepted(self):
+        out = ms.resample(ms.AudioBuffer(np.full(480, 0.5), 16000), 384000)
+        assert len(out) == 480 * 24 and np.allclose(out.samples, 0.5)
 
 
 class TestAudioBuffer:

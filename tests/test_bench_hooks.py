@@ -37,3 +37,12 @@ def test_tracer_sees_every_layer_and_replays_exactly():
         assert name in names
     assert pipe.patches_emitted > 0
     assert tracer.replay_mismatches == 0
+    # melbench adds dsp.mel_spectrogram and dsp.mel_frame frames together, so a
+    # kernel call made under an offline spectrogram would count its frames twice.
+    for span in tracer.spans:
+        if span[0] != "dsp.mel_frame":
+            continue
+        parent = span[3]
+        while parent >= 0:
+            assert tracer.spans[parent][0] != "dsp.mel_spectrogram"
+            parent = tracer.spans[parent][3]

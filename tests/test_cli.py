@@ -2,13 +2,17 @@
 
 import io
 import json
+import struct
 import sys
+from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 
 import melstream as ms
-from melstream.cli import _STREAM_CHUNK, _resolve_seed, main
+from melstream import dsp
+from melstream.cli import _STREAM_CHUNK, _resolve_seed, build_parser, main
 from melstream.errors import ConfigError
 from melstream.inference.model_io import read_weights
 
@@ -128,6 +132,37 @@ class TestMelspec:
     def test_missing_required_flags(self, capsys, tone_wav):
         code, _, _ = run(capsys, "melspec", tone_wav, "--frame-size", "400")
         assert code == 3
+
+    def test_feature_flags_mirror_melconfig(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {a.dest: a for a in sub.choices["melspec"]._actions}
+        hints = get_type_hints(ms.MelConfig)
+        for f in fields(ms.MelConfig):
+            flag = flags[f.name]
+            assert flag.option_strings == ["--" + f.name.replace("_", "-")]
+            assert flag.type is (get_args(hints[f.name]) or (hints[f.name],))[0]
+            assert flag.choices == dsp._CHOICES.get(f.name)
+            for name in flag.choices or ():
+                ms.MelConfig(frame_size=64, hop_size=32, n_mels=4, **{f.name: name})
+        assert flags["filter_norm"].choices == ("none", "area", "band-width")
+
+    def test_bad_filter_norm_is_a_usage_error(self, capsys, tone_wav):
+        with pytest.raises(SystemExit) as exc:
+            main(["melspec", tone_wav, "--frame-size", "400", "--hop-size", "160",
+                  "--n-mels", "64", "--filter-norm", "bogus"])
+        assert exc.value.code == 3
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_rate_above_cap(self, capsys, tone_wav, tmp_path):
+        code, _, err = run(capsys, "melspec", tone_wav, "--frame-size", "400",
+                           "--hop-size", "160", "--n-mels", "64", "--sample-rate", "400000")
+        assert code == 3, err
+        data = bytearray(open(tone_wav, "rb").read())
+        struct.pack_into("<I", data, 24, 0xFFFFFFFF)
+        p = tmp_path / "fast.wav"
+        p.write_bytes(bytes(data))
+        code, _, err = run(capsys, "melspec", str(p), "--preset", "musicnn-96")
+        assert code == 2, err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "melspec", str(tmp_path / "nope.wav"),
@@ -254,6 +289,20 @@ class TestPredict:
         code, _, _ = run(capsys, "predict", tone_wav, "--model", str(m),
                          "--weights", str(w))
         assert code == 4
+
+    @pytest.mark.parametrize("old, new", [
+        ("feature_config.hop_size 32", "feature_config.hop_size abc"),
+        ("feature_config.window hann\n", ""),
+    ], ids=["bad-int", "missing-key"])
+    def test_malformed_feature_config_exits_4(self, capsys, tone_wav, tiny_model, old, new):
+        _, manifest, weights = tiny_model
+        text = open(manifest, encoding="utf-8").read()
+        assert old in text
+        with open(manifest, "w", encoding="utf-8") as f:
+            f.write(text.replace(old, new))
+        code, _, err = run(capsys, "predict", tone_wav, "--model", manifest,
+                           "--weights", weights)
+        assert code == 4, err
 
     def test_invalid_utf8_weight_name_exits_4(self, capsys, tone_wav, tiny_model):
         _, manifest, weights = tiny_model

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import re
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,39 @@ class TestFilterbank:
         with pytest.raises(ConfigError):
             mel_filterbank(cfg, 8000)
 
+    @pytest.mark.parametrize("name", sorted(dsp.PRESETS))
+    @pytest.mark.parametrize("norm", ["none", "area", "band-width"])
+    @pytest.mark.parametrize("scale", ["htk", "slaney"])
+    @pytest.mark.parametrize("rate", [16000, 22050, 44100])
+    def test_equals_per_filter_loop(self, name, norm, scale, rate):
+        # At the preset's FFT size the lowest filters of a 44.1 kHz bank fall between
+        # bins and must raise; at 2048 they do not.
+        for fft_size in (ms.preset(name).fft_size, 2048):
+            cfg = replace(ms.preset(name), mel_scale=scale, filter_norm=norm, fft_size=fft_size)
+            try:
+                ref = oracles.ref_mel_filterbank(cfg.n_mels, fft_size, rate, cfg.f_min,
+                                                 cfg.f_max, scale, norm)
+            except ValueError as e:
+                with pytest.raises(EmptyFilter, match=f"^{re.escape(str(e))}$"):
+                    mel_filterbank(cfg, rate)
+            else:
+                assert np.array_equal(mel_filterbank(cfg, rate), ref)
+
+    def test_empty_filter_names_the_first_empty_row(self):
+        cfg = ms.MelConfig(frame_size=128, hop_size=64, n_mels=64, f_min=40.0, f_max=4000.0)
+        message = "mel filter 4 (129.2-177.7 Hz) has no nonzero weight at fft_size 128"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracles.ref_mel_filterbank(64, 128, 8000, 40.0, 4000.0, "htk", "none")
+        with pytest.raises(EmptyFilter, match=f"^{re.escape(message)}$"):
+            mel_filterbank(cfg, 8000)
+
+    def test_nyquist_checked_before_any_filter(self):
+        # 64 bands at fft_size 64 would leave empty filters, but f_max is the first fault.
+        cfg = ms.MelConfig(frame_size=64, hop_size=32, n_mels=64, f_max=8000.0)
+        with pytest.raises(ConfigError, match="exceeds Nyquist") as info:
+            mel_filterbank(cfg, 8000)
+        assert not isinstance(info.value, EmptyFilter)
+
 
 class TestCompression:
     def test_parse(self):
@@ -210,6 +244,40 @@ class TestMelConfig:
                            spectrum_type="magnitude",
                            compression="shifted-log(10000)")
         assert ms.MelConfig.from_kv(cfg.to_kv()) == cfg
+
+    def test_kv_round_trip_every_field_off_default(self):
+        cfg = ms.MelConfig(frame_size=300, hop_size=75, n_mels=24, window="blackman-harris",
+                           fft_size=1024, f_min=31.5, f_max=7200.25, mel_scale="slaney",
+                           filter_norm="band-width", spectrum_type="magnitude",
+                           compression="log10")
+        for f in fields(ms.MelConfig):
+            if f.default is not MISSING:
+                assert getattr(cfg, f.name) != f.default, f.name
+        assert ms.MelConfig.from_kv(cfg.to_kv()) == cfg
+
+    @pytest.mark.parametrize("key, value", [("hop_size", "abc"), ("fft_size", "None"),
+                                            ("f_min", "low"), ("window", "tukey")])
+    def test_from_kv_rejects_bad_values(self, key, value):
+        kv = ms.MelConfig(frame_size=64, hop_size=32, n_mels=4).to_kv()
+        kv[key] = value
+        with pytest.raises(ConfigError):
+            ms.MelConfig.from_kv(kv)
+
+    def test_from_kv_rejects_missing_key(self):
+        kv = ms.MelConfig(frame_size=64, hop_size=32, n_mels=4).to_kv()
+        del kv["window"]
+        with pytest.raises(ConfigError, match="missing config keys"):
+            ms.MelConfig.from_kv(kv)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("window", "tukey", "unknown window 'tukey'"),
+        ("mel_scale", "bark", "unknown mel scale 'bark'"),
+        ("filter_norm", "l2", "unknown filter norm 'l2'"),
+        ("spectrum_type", "db", "unknown spectrum type 'db'"),
+    ], ids=["window", "mel_scale", "filter_norm", "spectrum_type"])
+    def test_name_check_messages(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ms.MelConfig(frame_size=64, hop_size=32, n_mels=4, **{field: value})
 
     def test_from_kv_rejects_unknown_key(self):
         kv = ms.MelConfig(frame_size=64, hop_size=32, n_mels=4).to_kv()

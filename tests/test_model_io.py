@@ -114,6 +114,16 @@ class TestWeightsBinary:
         with pytest.raises(ModelLoadError):
             read_weights(p)
 
+    @pytest.mark.parametrize("dims", [(1,) * 65, (0, 0xFFFFFFFF, 0xFFFFFFFF)])
+    def test_shape_numpy_refuses(self, tmp_path, dims):
+        # Both pass the size check (one element, or none) but numpy cannot make the array.
+        name = b"x"
+        entry = struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+        p = tmp_path / "w.bin"
+        p.write_bytes(b"MSTW" + struct.pack("<II", 1, 1) + entry + b"\0" * 4)
+        with pytest.raises(ModelLoadError, match="bad tensor shape"):
+            read_weights(p)
+
     def test_empty_dict(self, tmp_path):
         p = tmp_path / "w.bin"
         write_weights(p, {})
@@ -216,6 +226,33 @@ class TestManifestText:
             parse_manifest("format_version 1\ninput in 4,4,1\noutput n\n"
                            "embedding n\npatch_frames 4\nsample_rate 8000\n"
                            "node n max_pool2d inputs=in\n")
+
+    @pytest.mark.parametrize("node", ["node n max_pool2d inputs=in pool=0,2",
+                                      "node n mean_pool2d inputs=in pool=2,2 stride=1,0",
+                                      "node n max_pool2d inputs=in pool=-1,2",
+                                      "node n conv2d inputs=in weight=k stride=0,1"],
+                             ids=["pool-zero", "stride-zero", "pool-negative", "conv-stride-zero"])
+    def test_node_line_non_positive_pair(self, node):
+        with pytest.raises(ManifestError, match="must be positive"):
+            parse_manifest("format_version 1\ninput in 4,4,1\noutput n\n"
+                           "embedding n\npatch_frames 4\nsample_rate 8000\n" + node + "\n")
+
+    @pytest.mark.parametrize("old, new", [
+        ("feature_config.hop_size 256", "feature_config.hop_size abc"),
+        ("feature_config.window hann\n", ""),
+        ("feature_config.window hann", "feature_config.window tukey"),
+        ("feature_config.f_min 0", "feature_config.f_min 9000"),
+    ], ids=["bad-int", "missing-key", "unknown-window", "f_min-above-f_max"])
+    def test_malformed_feature_config_is_a_manifest_error(self, tmp_path, old, new):
+        g = linear_classifier(seed=3)
+        text = format_manifest(g)
+        assert old in text
+        with pytest.raises(ManifestError, match="feature_config"):
+            parse_manifest(text.replace(old, new))
+        ms.save_model(g, tmp_path / "m.txt", tmp_path / "m.bin")
+        (tmp_path / "m.txt").write_text(text.replace(old, new))
+        with pytest.raises(ManifestError):
+            ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin")
 
 
 class TestSaveLoad:
