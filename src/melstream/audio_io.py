@@ -30,6 +30,8 @@ _WAVE_EXTENSIBLE = 0xFFFE
 _MAX_CHANNELS = 8
 # Highest sample rate read or resampled; it bounds the resampler's phase table.
 _MAX_RATE = 384000
+# Lowest rate a WAV header may declare; it bounds the output length of upsampling a file.
+_MIN_RATE = 1000
 
 # Resampler quality preset: stopband attenuation and the fraction of the
 # smaller Nyquist treated as guaranteed passband.
@@ -104,8 +106,9 @@ def _parse_wav(data: bytes):
         (tag,) = struct.unpack_from("<H", fmt, 24)
     if rate <= 0:
         raise CorruptHeader(f"invalid sample rate {rate}")
-    if rate > _MAX_RATE:
-        raise UnsupportedFormat(f"sample rate {rate} Hz above the supported {_MAX_RATE}")
+    if not _MIN_RATE <= rate <= _MAX_RATE:
+        raise UnsupportedFormat(
+            f"sample rate {rate} Hz outside the supported {_MIN_RATE}..{_MAX_RATE}")
     return tag, channels, rate, bits, payload
 
 
@@ -122,7 +125,11 @@ def _decode_payload(payload: bytes, tag: int, bits: int, channels: int) -> np.nd
     if tag == _WAVE_FLOAT:
         if bits != 32:
             raise UnsupportedFormat(f"{bits}-bit float WAV not supported")
-        flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        f32 = np.frombuffer(payload, dtype="<f4")
+        # Checked before widening: a signalling NaN warns when cast to float64.
+        if not np.all(np.isfinite(f32)):
+            raise UnsupportedFormat("float WAV contains non-finite samples")
+        flat = f32.astype(np.float64)
     elif tag == _WAVE_PCM:
         # Scaled in place: dividing into a new array would hold two float64 copies.
         if bits == 16:
@@ -141,9 +148,6 @@ def _decode_payload(payload: bytes, tag: int, bits: int, channels: int) -> np.nd
             raise UnsupportedFormat(f"{bits}-bit integer PCM not supported")
     else:
         raise UnsupportedFormat(f"WAV codec tag 0x{tag:04X} not supported")
-
-    if not np.all(np.isfinite(flat)):
-        raise UnsupportedFormat("float WAV contains non-finite samples")
     return flat.reshape(-1, channels)
 
 

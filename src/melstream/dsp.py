@@ -37,7 +37,8 @@ LOG_FLOOR = 1e-10
 # Frames per mel kernel call, offline and per push; rows do not depend on it, 256 cost memory.
 _MEL_BLOCK = 64
 
-_SHIFTED_LOG_RE = re.compile(r"^shifted-log\(([^()]+)\)$")
+# No whitespace: the spec is written to a manifest line and must come back unchanged.
+_SHIFTED_LOG_RE = re.compile(r"shifted-log\(([^()\s]+)\)")
 
 # Slaney mel scale constants: linear below the break, log above.
 _SLANEY_BREAK_HZ = 1000.0
@@ -89,7 +90,7 @@ def parse_compression(value: str) -> tuple[str, float]:
     """Split a compression spec into (kind, scale). Scale is 0 unless shifted-log."""
     if value in ("none", "natural-log", "log10"):
         return value, 0.0
-    m = _SHIFTED_LOG_RE.match(value)
+    m = _SHIFTED_LOG_RE.fullmatch(value)
     if m:
         try:
             scale = float(m.group(1))
@@ -122,6 +123,10 @@ class MelConfig:
     compression: str = "none"
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if _field_type(f) is int and v is not None and not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
         if self.frame_size < 1:
             raise ConfigError(f"frame_size must be >= 1, got {self.frame_size}")
         if not 1 <= self.hop_size <= self.frame_size:
@@ -146,7 +151,7 @@ class MelConfig:
         out = {}
         for f in fields(self):
             v = getattr(self, f.name)
-            out[f.name] = format(v, "g") if isinstance(v, float) else str(v)
+            out[f.name] = _float_text(float(v)) if _field_type(f) is float else str(v)
         return out
 
     @classmethod
@@ -163,6 +168,12 @@ class MelConfig:
             return cls(**{f.name: _field_type(f)(kv[f.name]) for f in fields(cls)})
         except ValueError as e:
             raise ConfigError(f"bad config value: {e}") from None
+
+
+def _float_text(v: float) -> str:
+    """``format(v, "g")`` when that text reads back as ``v``, else the exact ``repr``."""
+    text = format(v, "g")
+    return text if float(text) == v else repr(float(v))
 
 
 def _field_type(f) -> type:

@@ -18,9 +18,11 @@ import numpy as np
 from ..dsp import MelConfig
 from ..errors import (CyclicGraph, InputShapeMismatch, ManifestError, MissingWeight,
                       NonFiniteActivation, ShapeMismatch, UnknownNode)
-from .ops import op_def, weight_param_names
+from .ops import _KINDS, _REQUIRED, op_def, weight_param_names
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/]+$")
+# A label must come back whole from the manifest's ``labels a;b;c`` line.
+_LABEL_RE = re.compile(r"[^;\s]+(?: +[^;\s]+)*")
 
 FORMAT_VERSION = 1
 
@@ -60,19 +62,17 @@ def _check_name(name: str, what: str) -> None:
 def normalize_params(name: str, op: str, given: dict) -> dict:
     """Check a node's params against its op's schema and fill in the defaults."""
     schema = op_def(op).params
-    unknown = set(given) - set(schema)
-    if unknown:
-        raise ManifestError(f"node {name!r}: unknown params {sorted(unknown)}")
+    if not given.keys() <= schema.keys():
+        raise ManifestError(f"node {name!r}: unknown params {sorted(set(given) - set(schema))}")
     params = {}
     for p, (kind, default) in schema.items():
-        if p in given:
-            params[p] = given[p]
-            if kind.startswith("int_pair") and given[p] is not None and min(given[p]) < 1:
-                raise ManifestError(f"node {name!r}: {p} must be positive, got {given[p]}")
-        elif default is None and kind not in ("weight_opt", "int_pair_opt"):
+        value = given.get(p)
+        if value is None and default is _REQUIRED:
             raise ManifestError(f"node {name!r}: op {op!r} requires {p!r}")
-        else:
-            params[p] = default
+        try:
+            params[p] = default if value is None else _KINDS[kind].check(value)
+        except (TypeError, ValueError) as e:
+            raise ManifestError(f"node {name!r}: bad {p} {value!r}: {e}") from None
     return params
 
 
@@ -89,8 +89,14 @@ def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
         raise ManifestError(f"patch_frames must be >= 1, got {patch_frames}")
     if sample_rate <= 0:
         raise ManifestError(f"sample_rate must be positive, got {sample_rate}")
+    if not all(isinstance(label, str) and _LABEL_RE.fullmatch(label) for label in labels):
+        raise ManifestError(f"labels must be non-empty, without ';', line breaks or outer "
+                            f"spaces, got {labels!r}")
     if not isinstance(feature_config, MelConfig):
         raise ManifestError("feature_config must be a MelConfig")
+    if feature_config.f_max > sample_rate / 2.0:
+        raise ManifestError(f"feature_config f_max {feature_config.f_max} exceeds the Nyquist "
+                            f"frequency {sample_rate / 2.0} of sample_rate {sample_rate}")
 
     weights = {str(k): np.ascontiguousarray(v, dtype=np.float32) for k, v in weights.items()}
     for wname in weights:

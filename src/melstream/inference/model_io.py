@@ -13,6 +13,13 @@ Manifest grammar (UTF-8, one statement per line, ``#`` comments):
     weight <name> <d0,d1,...>           # declared shape of each stored weight
     node <name> <op> [inputs=a,b] [key=value ...]
 
+Each key appears once. A node param has one of five kinds, defined in
+``ops._KINDS`` with its check, reader and writer: ``weight`` (a weight
+name), ``pair`` (``h,w``, two integers >= 1), ``padding`` (``same`` or
+``valid``), ``float`` (finite; written in the shortest text that reads
+back exactly) and ``int``. So any graph ``build_graph`` accepts saves and
+reloads bit-exactly.
+
 Weights file layout (all little-endian): magic ``MSTW``, u32 format
 version, u32 entry count, then per entry a u16 name length, the UTF-8
 name, a u8 rank, u32 dims, and the raw float32 row-major data.
@@ -28,7 +35,7 @@ import numpy as np
 from ..dsp import MelConfig
 from ..errors import ConfigError, ManifestError, MissingWeight, ModelLoadError, ShapeMismatch
 from .graph import FORMAT_VERSION, ModelGraph, Node, build_graph, normalize_params
-from .ops import op_def, weight_param_names
+from .ops import _KINDS, op_def, weight_param_names
 
 WEIGHTS_MAGIC = b"MSTW"
 WEIGHTS_VERSION = 1
@@ -102,14 +109,28 @@ def read_weights(path) -> dict[str, np.ndarray]:
 
 # -- manifest text -----------------------------------------------------------
 
-def _parse_dims(text: str, context: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ManifestError(f"bad dims {text!r} in {context}") from None
-    if not dims or any(d < 1 for d in dims):
-        raise ManifestError(f"dims must be positive in {context}, got {text!r}")
-    return dims
+def _name_dims(text: str) -> tuple[str, tuple[int, ...]]:
+    """Read the ``<name> <d0,d1,...>`` of an input or weight line."""
+    parts = text.split()
+    if len(parts) != 2:
+        raise ValueError("needs a name and dims")
+    dims = tuple(int(d) for d in parts[1].split(","))
+    if min(dims) < 1:
+        raise ValueError("dims must be positive")
+    return parts[0], dims
+
+
+# Header keys in file order, each (text reader, text writer for a graph); only labels may be absent.
+_HEADER = {
+    "format_version": (int, lambda g: FORMAT_VERSION),
+    "input": (_name_dims, lambda g: f"{g.input_name} {','.join(map(str, g.input_shape))}"),
+    "output": (str, lambda g: g.output_name),
+    "embedding": (str, lambda g: g.embedding_name),
+    "patch_frames": (int, lambda g: g.patch_frames),
+    "sample_rate": (int, lambda g: g.sample_rate),
+    "labels": (lambda t: tuple(s for s in t.split(";") if s), lambda g: ";".join(g.labels)),
+}
+_CONFIG = "feature_config."
 
 
 def _parse_node_line(rest: str) -> Node:
@@ -117,48 +138,30 @@ def _parse_node_line(rest: str) -> Node:
     if len(tokens) < 2:
         raise ManifestError(f"node line needs a name and an op: {rest!r}")
     name, kind = tokens[0], tokens[1]
-    d = op_def(kind)
-    inputs: tuple[str, ...] = ()
+    schema = op_def(kind).params
     params = {}
     for token in tokens[2:]:
-        if "=" not in token:
-            raise ManifestError(f"bad token {token!r} on node {name!r}")
-        key, value = token.split("=", 1)
+        key, eq, value = token.partition("=")
+        if not eq or key in params:
+            raise ManifestError(f"bad or repeated token {token!r} on node {name!r}")
         if key == "inputs":
-            inputs = tuple(v for v in value.split(",") if v)
+            params[key] = tuple(v for v in value.split(",") if v)
             continue
-        if key not in d.params:
+        if key not in schema:
             raise ManifestError(f"op {kind} has no param {key!r}")
-        pkind = d.params[key][0]
         try:
-            if pkind in ("weight", "weight_opt"):
-                params[key] = value
-            elif pkind in ("int_pair", "int_pair_opt"):
-                a, b = value.split(",")
-                params[key] = (int(a), int(b))
-            elif pkind == "int":
-                params[key] = int(value)
-            elif pkind == "float":
-                params[key] = float(value)
-            elif pkind == "padding":
-                if value not in ("same", "valid"):
-                    raise ValueError(value)
-                params[key] = value
-            else:
-                raise ManifestError(f"unhandled param kind {pkind}")
-        except (ValueError, TypeError):
+            params[key] = _KINDS[schema[key][0]].read(value)
+        except ValueError:
             raise ManifestError(f"bad value {value!r} for {key!r} on node {name!r}") from None
+    inputs = params.pop("inputs", ())
     return Node(name=name, op=kind, inputs=inputs, params=normalize_params(name, kind, params))
 
 
 def parse_manifest(text: str) -> dict:
     """Parse manifest text into its pieces (no weights attached yet)."""
-    seen: dict[str, str] = {}
-    feature_kv: dict[str, str] = {}
+    seen: dict = {}  # header values, and feature_config.* texts under their full keys
     weight_decls: dict[str, tuple[int, ...]] = {}
     nodes: list[Node] = []
-    input_name = None
-    input_shape = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -166,99 +169,63 @@ def parse_manifest(text: str) -> dict:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
-        if key == "node":
-            nodes.append(_parse_node_line(rest))
-            continue
-        if key == "weight":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ManifestError(f"line {lineno}: weight line needs a name and dims")
-            if parts[0] in weight_decls:
-                raise ManifestError(f"line {lineno}: duplicate weight declaration {parts[0]!r}")
-            weight_decls[parts[0]] = _parse_dims(parts[1], f"weight {parts[0]!r}")
-            continue
-        if key == "input":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ManifestError(f"line {lineno}: input line needs a name and dims")
-            input_name, input_shape = parts[0], _parse_dims(parts[1], "input")
-            continue
-        if key.startswith("feature_config."):
-            feature_kv[key[len("feature_config."):]] = rest
-            continue
-        if key in ("format_version", "output", "embedding", "patch_frames",
-                   "sample_rate", "labels"):
-            if key in seen:
-                raise ManifestError(f"line {lineno}: duplicate key {key!r}")
-            seen[key] = rest
-            continue
-        raise ManifestError(f"line {lineno}: unknown manifest key {key!r}")
+        if key in seen:
+            raise ManifestError(f"line {lineno}: duplicate key {key!r}")
+        try:
+            if key == "node":
+                nodes.append(_parse_node_line(rest))
+            elif key == "weight":
+                name, dims = _name_dims(rest)
+                if name in weight_decls:
+                    raise ManifestError(f"line {lineno}: duplicate weight declaration {name!r}")
+                weight_decls[name] = dims
+            elif key in _HEADER:
+                seen[key] = _HEADER[key][0](rest)
+            elif key.startswith(_CONFIG):
+                seen[key] = rest
+            else:
+                raise ManifestError(f"line {lineno}: unknown manifest key {key!r}")
+        except ValueError as e:
+            raise ManifestError(f"line {lineno}: bad {key} line {rest!r}: {e}") from None
 
-    for required in ("format_version", "output", "embedding", "patch_frames", "sample_rate"):
-        if required not in seen:
+    for required in _HEADER:
+        if required not in seen and required != "labels":
             raise ManifestError(f"manifest missing required key {required!r}")
-    if input_name is None:
-        raise ManifestError("manifest missing required key 'input'")
+    if seen["format_version"] != FORMAT_VERSION:
+        raise ManifestError(f"unsupported manifest format_version {seen['format_version']}")
     try:
-        version = int(seen["format_version"])
-        patch_frames = int(seen["patch_frames"])
-        sample_rate = int(seen["sample_rate"])
-    except ValueError as e:
-        raise ManifestError(f"bad integer in manifest header: {e}") from None
-    if version != FORMAT_VERSION:
-        raise ManifestError(f"unsupported manifest format_version {version}")
-    labels = tuple(s for s in seen.get("labels", "").split(";") if s)
-    try:
-        config = MelConfig.from_kv(feature_kv)
+        config = MelConfig.from_kv(
+            {k[len(_CONFIG):]: v for k, v in seen.items() if k.startswith(_CONFIG)})
     except ConfigError as e:
         raise ManifestError(f"bad feature_config: {e}") from None
 
     return {
-        "input_name": input_name,
-        "input_shape": input_shape,
+        "input_name": seen["input"][0],
+        "input_shape": seen["input"][1],
         "output_name": seen["output"],
         "embedding_name": seen["embedding"],
-        "patch_frames": patch_frames,
-        "sample_rate": sample_rate,
-        "labels": labels,
+        "patch_frames": seen["patch_frames"],
+        "sample_rate": seen["sample_rate"],
+        "labels": seen.get("labels", ()),
         "feature_config": config,
         "weight_decls": weight_decls,
         "nodes": nodes,
     }
 
 
-def _format_param(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return format(value, "g")
-    return str(value)
-
-
 def format_manifest(graph: ModelGraph) -> str:
     """Deterministic manifest text for a graph."""
-    lines = [f"format_version {FORMAT_VERSION}"]
-    lines.append(f"input {graph.input_name} {','.join(str(d) for d in graph.input_shape)}")
-    lines.append(f"output {graph.output_name}")
-    lines.append(f"embedding {graph.embedding_name}")
-    lines.append(f"patch_frames {graph.patch_frames}")
-    lines.append(f"sample_rate {graph.sample_rate}")
-    if graph.labels:
-        lines.append(f"labels {';'.join(graph.labels)}")
-    for key, value in graph.feature_config.to_kv().items():
-        lines.append(f"feature_config.{key} {value}")
-    for name, arr in graph.weights.items():
-        lines.append(f"weight {name} {','.join(str(d) for d in arr.shape)}")
+    lines = [f"{key} {write(graph)}" for key, (_, write) in _HEADER.items()
+             if key != "labels" or graph.labels]
+    lines += [f"{_CONFIG}{key} {value}" for key, value in graph.feature_config.to_kv().items()]
+    lines += [f"weight {name} {','.join(map(str, w.shape))}" for name, w in graph.weights.items()]
     for node in graph.nodes:
         parts = [f"node {node.name} {node.op}"]
         if node.inputs:
             parts.append(f"inputs={','.join(node.inputs)}")
-        d = op_def(node.op)
-        for key in d.params:
-            value = node.params.get(key)
-            if value is None:
-                continue
-            parts.append(f"{key}={_format_param(value)}")
+        for key, (kind, _) in op_def(node.op).params.items():
+            if node.params[key] is not None:
+                parts.append(f"{key}={_KINDS[kind].write(node.params[key])}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -281,16 +248,13 @@ def load_model(manifest_path, weights_path) -> ModelGraph:
             raise ShapeMismatch(
                 f"weight {name!r} declared {declared} but stored {tuple(stored[name].shape)}")
         weights[name] = stored[name]
-    node_names = {n.name for n in pieces["nodes"]}
-    for node in pieces["nodes"]:
+    # build_graph checks every reference; this only names a stored weight left undeclared.
+    undeclared = stored.keys() - weights.keys()
+    for node in pieces["nodes"] if undeclared else ():
         for key in weight_param_names(node.op):
-            name = node.params.get(key)
-            if name is not None and name not in weights:
-                hint = " (present in the weights file but not declared)" if name in stored else ""
-                raise MissingWeight(f"node {node.name!r} references weight {name!r}{hint}")
-        for ref in node.inputs:
-            if ref in stored and ref not in weights and ref not in node_names:
-                raise ManifestError(f"weight {ref!r} used but not declared in the manifest")
+            if node.params[key] in undeclared:
+                raise MissingWeight(f"node {node.name!r} references weight {node.params[key]!r} "
+                                    "(present in the weights file but not declared)")
     return build_graph(weights=weights, **pieces)
 
 

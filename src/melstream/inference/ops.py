@@ -10,11 +10,14 @@ pool size. dropout is the identity at inference time.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ..dsp import _float_text
 from ..errors import ShapeMismatch, UnsupportedOp
 
 F32 = np.float32
@@ -193,31 +196,64 @@ def _same_shape(in_shapes, wshapes, params):
     return in_shapes[0]
 
 
-# Param kinds: weight / weight_opt (reference into the weights store),
-# int_pair, int_pair_opt, padding, float, int.
+# A param whose default is _REQUIRED must be given; one whose default is None may be left
+# out. An explicit None counts as not given.
+_REQUIRED = object()
+
+
+class _Kind(NamedTuple):
+    check: Callable  # value -> the value kept in Node.params; TypeError/ValueError if invalid
+    read: Callable  # manifest text -> value
+    write: Callable  # kept value -> text that read turns back into the same value
+
+
+def _bad(reason: str):
+    raise ValueError(reason)
+
+
+def _pair(v):
+    if not isinstance(v, (tuple, list)):
+        raise ValueError("must be two integers")
+    a, b = map(operator.index, v)
+    if a < 1 or b < 1:
+        raise ValueError("must be positive")
+    return (a, b)
+
+
+_KINDS: dict[str, _Kind] = {
+    "weight": _Kind(lambda v: v if isinstance(v, str) else _bad("must be a weight name"), str, str),
+    "pair": _Kind(_pair, lambda t: tuple(map(int, t.split(","))), lambda v: f"{v[0]},{v[1]}"),
+    "padding": _Kind(lambda v: v if v in ("same", "valid") else _bad("must be same or valid"),
+                     str, str),
+    "float": _Kind(lambda v: float(v) if math.isfinite(v) else _bad("must be finite"),
+                   float, _float_text),
+    "int": _Kind(operator.index, int, str),
+}
+
+
 @dataclass(frozen=True)
 class OpDef:
     apply: Callable
     infer: Callable
-    params: dict
+    params: dict  # param name -> (kind in _KINDS, default)
     min_inputs: int = 1
     max_inputs: int = 1
 
 
 OPS: dict[str, OpDef] = {
     "conv2d": OpDef(_conv2d, _conv2d_shape, {
-        "weight": ("weight", None), "bias": ("weight_opt", None),
-        "stride": ("int_pair", (1, 1)), "padding": ("padding", "valid")}),
+        "weight": ("weight", _REQUIRED), "bias": ("weight", None),
+        "stride": ("pair", (1, 1)), "padding": ("padding", "valid")}),
     "dense": OpDef(_dense, _dense_shape, {
-        "weight": ("weight", None), "bias": ("weight_opt", None)}),
+        "weight": ("weight", _REQUIRED), "bias": ("weight", None)}),
     "batch_norm": OpDef(_batch_norm, _batch_norm_shape, {
-        "gamma": ("weight", None), "beta": ("weight", None),
-        "mean": ("weight", None), "variance": ("weight", None),
+        "gamma": ("weight", _REQUIRED), "beta": ("weight", _REQUIRED),
+        "mean": ("weight", _REQUIRED), "variance": ("weight", _REQUIRED),
         "epsilon": ("float", 1e-3)}),
     "max_pool2d": OpDef(lambda i, w, p: _pool(i, p, np.max), _pool_shape, {
-        "pool": ("int_pair", None), "stride": ("int_pair_opt", None)}),
+        "pool": ("pair", _REQUIRED), "stride": ("pair", None)}),
     "mean_pool2d": OpDef(lambda i, w, p: _pool(i, p, np.mean), _pool_shape, {
-        "pool": ("int_pair", None), "stride": ("int_pair_opt", None)}),
+        "pool": ("pair", _REQUIRED), "stride": ("pair", None)}),
     "relu": OpDef(_relu, _same_shape, {}),
     "elu": OpDef(_elu, _same_shape, {"alpha": ("float", 1.0)}),
     "sigmoid": OpDef(_sigmoid, _same_shape, {}),
@@ -237,4 +273,4 @@ def op_def(kind: str) -> OpDef:
 def weight_param_names(kind: str) -> list[str]:
     """Params of an op that reference weights, required first."""
     d = op_def(kind)
-    return [p for p, (k, _) in d.params.items() if k in ("weight", "weight_opt")]
+    return [p for p, (k, _) in d.params.items() if k == "weight"]

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,27 @@ class TestDecodingErrors:
             else:
                 with pytest.raises(UnsupportedFormat, match="sample rate"):
                     ms.load_pcm(path)
+
+    def test_rate_below_floor_rejected(self, tmp_path):
+        # A 1 Hz header would turn 100 frames into 1.6 M samples at 16 kHz.
+        path = tmp_path / "t.wav"
+        for rate, error in ((0, CorruptHeader), (1, UnsupportedFormat),
+                            (999, UnsupportedFormat), (1000, None)):
+            path.write_bytes(build_wav(struct.pack("<100h", *range(100)), rate=rate))
+            if error is None:
+                assert len(ms.load_pcm(path, 16000)) == 1600
+            else:
+                with pytest.raises(error, match="sample rate"):
+                    ms.load_pcm(path, 16000)
+
+    def test_signalling_nan_rejected_without_warning(self, tmp_path):
+        payload = struct.pack("<f", 0.25) + struct.pack("<I", 0x7F800001)
+        path = tmp_path / "t.wav"
+        path.write_bytes(build_wav(payload, tag=3, bits=32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedFormat, match="non-finite"):
+                ms.load_pcm(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

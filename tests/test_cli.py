@@ -5,6 +5,7 @@ import json
 import struct
 import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -157,12 +158,23 @@ class TestMelspec:
         code, _, err = run(capsys, "melspec", tone_wav, "--frame-size", "400",
                            "--hop-size", "160", "--n-mels", "64", "--sample-rate", "400000")
         assert code == 3, err
-        data = bytearray(open(tone_wav, "rb").read())
+        data = bytearray(Path(tone_wav).read_bytes())
         struct.pack_into("<I", data, 24, 0xFFFFFFFF)
         p = tmp_path / "fast.wav"
         p.write_bytes(bytes(data))
         code, _, err = run(capsys, "melspec", str(p), "--preset", "musicnn-96")
         assert code == 2, err
+
+    def test_rate_below_floor_exits_2(self, capsys, tmp_path):
+        # 100 frames, so a reader without the floor resamples only 1.6 M samples.
+        p = tmp_path / "slow.wav"
+        ms.write_wav(p, tone(440.0, 0.1, sr=1000), 1000)
+        data = bytearray(p.read_bytes())
+        struct.pack_into("<I", data, 24, 1)
+        p.write_bytes(bytes(data))
+        code, _, err = run(capsys, "melspec", str(p), "--preset", "musicnn-96")
+        assert code == 2, err
+        assert "sample rate 1 Hz" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "melspec", str(tmp_path / "nope.wav"),
@@ -296,13 +308,23 @@ class TestPredict:
     ], ids=["bad-int", "missing-key"])
     def test_malformed_feature_config_exits_4(self, capsys, tone_wav, tiny_model, old, new):
         _, manifest, weights = tiny_model
-        text = open(manifest, encoding="utf-8").read()
+        text = Path(manifest).read_text(encoding="utf-8")
         assert old in text
         with open(manifest, "w", encoding="utf-8") as f:
             f.write(text.replace(old, new))
         code, _, err = run(capsys, "predict", tone_wav, "--model", manifest,
                            "--weights", weights)
         assert code == 4, err
+
+    def test_f_max_above_model_nyquist_exits_4(self, capsys, tone_wav, tiny_model):
+        # CFG's f_max is 4000, the tiny model's Nyquist; at 7000 Hz the model cannot run.
+        _, manifest, weights = tiny_model
+        path = Path(manifest)
+        path.write_text(path.read_text().replace("sample_rate 8000", "sample_rate 7000"))
+        code, _, err = run(capsys, "predict", tone_wav, "--model", manifest,
+                           "--weights", weights)
+        assert code == 4, err
+        assert "Nyquist" in err
 
     def test_invalid_utf8_weight_name_exits_4(self, capsys, tone_wav, tiny_model):
         _, manifest, weights = tiny_model

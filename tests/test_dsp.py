@@ -233,6 +233,9 @@ class TestMelConfig:
         dict(frame_size=64, hop_size=32, n_mels=4, filter_norm="l2"),
         dict(frame_size=64, hop_size=32, n_mels=4, spectrum_type="db"),
         dict(frame_size=64, hop_size=32, n_mels=4, compression="sqrt"),
+        dict(frame_size=64, hop_size=32, n_mels=4, compression="shifted-log(1\n)"),
+        dict(frame_size=64, hop_size=32, n_mels=4, compression="shifted-log(1)\n"),
+        dict(frame_size=64, hop_size=32.5, n_mels=4),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -254,6 +257,23 @@ class TestMelConfig:
             if f.default is not MISSING:
                 assert getattr(cfg, f.name) != f.default, f.name
         assert ms.MelConfig.from_kv(cfg.to_kv()) == cfg
+
+    @pytest.mark.parametrize("f_min, f_max", [(12.34567, 7999.9999),
+                                              (np.float32(0.1), np.float32(7999.9))])
+    def test_kv_round_trip_beyond_six_digits(self, f_min, f_max):
+        # Compared as float64 too: numpy compares a float32 with a float in float32.
+        cfg = ms.MelConfig(frame_size=512, hop_size=256, n_mels=96, f_min=f_min, f_max=f_max)
+        back = ms.MelConfig.from_kv(cfg.to_kv())
+        assert back == cfg
+        assert (float(back.f_min), float(back.f_max)) == (float(f_min), float(f_max))
+
+    @pytest.mark.parametrize("v", [0.0, 1.0, 0.5, 1e-3, 1e-05, 8000.0])
+    def test_float_text_keeps_short_form(self, v):
+        assert dsp._float_text(v) == format(v, "g")
+
+    @pytest.mark.parametrize("v", [0.1 + 0.2, 5e-324, 1.7976931348623157e308])
+    def test_float_text_reads_back_exactly(self, v):
+        assert float(dsp._float_text(v)) == v
 
     @pytest.mark.parametrize("key, value", [("hop_size", "abc"), ("fft_size", "None"),
                                             ("f_min", "low"), ("window", "tukey")])

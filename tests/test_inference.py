@@ -258,6 +258,38 @@ class TestGraphValidation:
         with pytest.raises(ShapeMismatch):
             build(nodes, {}, (4,), "a", labels=("x", "y", "z"))
 
+    @pytest.mark.parametrize("params", [
+        {"padding": "SAME"}, {"stride": (1,)}, {"stride": (0, 1)}, {"stride": (1.5, 2)},
+        {"stride": "2,2"},
+    ], ids=["padding-upper", "stride-one-value", "stride-zero", "stride-float", "stride-text"])
+    def test_param_values_checked_at_build(self, params):
+        w = {"k": np.ones((1, 1, 1, 1), dtype=np.float32)}
+        with pytest.raises(ManifestError):
+            single_op("conv2d", {"weight": "k", **params}, (4, 4, 1), w)
+
+    def test_explicit_none_weight_is_missing(self):
+        with pytest.raises(ManifestError, match="requires 'weight'"):
+            single_op("dense", {"weight": None}, (4,))
+
+    def test_list_pair_stored_as_tuple(self):
+        g = single_op("max_pool2d", {"pool": [2, 2], "stride": [1, 2]}, (4, 4, 1))
+        assert g.nodes[0].params["pool"] == (2, 2)
+        assert g.nodes[0].params["stride"] == (1, 2)
+
+    def test_f_max_above_nyquist(self):
+        nodes = [ms.Node("a", "relu", ("in",), {})]
+        with pytest.raises(ManifestError, match="Nyquist"):
+            ms.build_graph(input_name="in", input_shape=(4,), output_name="a",
+                           embedding_name="a", nodes=nodes, weights={}, labels=(),
+                           patch_frames=4, feature_config=CFG, sample_rate=7999)
+
+    @pytest.mark.parametrize("labels", [("a;b", "c"), ("", "c"), (" a", "c"), ("a\nb", "c")],
+                             ids=["semicolon", "empty", "outer-space", "line-break"])
+    def test_labels_must_survive_the_manifest(self, labels):
+        nodes = [ms.Node("a", "relu", ("in",), {})]
+        with pytest.raises(ManifestError, match="labels"):
+            build(nodes, {}, (2,), "a", labels=labels)
+
     def test_empty_labels_allowed(self):
         nodes = [ms.Node("a", "relu", ("in",), {})]
         g = build(nodes, {}, (4,), "a", labels=())

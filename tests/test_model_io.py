@@ -7,6 +7,7 @@ import pytest
 
 import melstream as ms
 from melstream.errors import ManifestError, MissingWeight, ModelLoadError, ShapeMismatch
+from melstream.inference import OPS
 from melstream.inference.model_io import (encode_weights, format_manifest,
                                           parse_manifest, read_weights,
                                           write_weights)
@@ -325,3 +326,96 @@ class TestSaveLoad:
         write_weights(tmp_path / "m.bin", stored)
         g2 = ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin")
         assert "unused_extra" not in g2.weights
+
+
+# Every op with each of its params set off the default, as (input shape, params, weight shapes).
+_OFF_DEFAULT = {
+    "conv2d": ((6, 5, 2), {"weight": "k", "bias": "b", "stride": (2, 1), "padding": "same"},
+               {"k": (3, 2, 2, 4), "b": (4,)}),
+    "dense": ((10,), {"weight": "w", "bias": "b"}, {"w": (10, 3), "b": (3,)}),
+    "batch_norm": ((6, 5, 2), {"gamma": "g", "beta": "be", "mean": "m", "variance": "v",
+                               "epsilon": 1.234567891e-3},
+                   {"g": (2,), "be": (2,), "m": (2,), "v": (2,)}),
+    "max_pool2d": ((6, 5, 2), {"pool": (2, 3), "stride": (1, 2)}, {}),
+    "mean_pool2d": ((6, 5, 2), {"pool": (3, 2), "stride": (2, 1)}, {}),
+    "relu": ((6, 5, 2), {}, {}),
+    "elu": ((6, 5, 2), {"alpha": 0.123456789}, {}),
+    "sigmoid": ((6, 5, 2), {}, {}),
+    "softmax": ((6, 5, 2), {}, {}),
+    "flatten": ((6, 5, 2), {}, {}),
+    "dropout": ((6, 5, 2), {}, {}),
+    "concat": ((6, 5, 2), {"axis": 1}, {}),
+}
+
+
+def _off_default_graph(op):
+    shape, params, wshapes = _OFF_DEFAULT[op]
+    rng = np.random.default_rng(5)
+    weights = {k: rng.uniform(0.5, 1.5, s).astype(np.float32) for k, s in wshapes.items()}
+    inputs = ("in", "in") if op == "concat" else ("in",)
+    return ms.build_graph(input_name="in", input_shape=shape, output_name="n",
+                          embedding_name="n", nodes=[ms.Node("n", op, inputs, params)],
+                          weights=weights, labels=(), patch_frames=6,
+                          feature_config=ms.preset("musicnn-96"), sample_rate=16000)
+
+
+def _rebuilt(g, **changes):
+    """``g`` built again by build_graph, with some of its arguments replaced."""
+    args = {"input_name": g.input_name, "input_shape": g.input_shape,
+            "output_name": g.output_name, "embedding_name": g.embedding_name,
+            "nodes": g.nodes, "weights": g.weights, "labels": g.labels,
+            "patch_frames": g.patch_frames, "feature_config": g.feature_config,
+            "sample_rate": g.sample_rate}
+    return ms.build_graph(**{**args, **changes})
+
+
+class TestEveryGraphReloads:
+    def test_cases_cover_every_op(self):
+        assert set(_OFF_DEFAULT) == set(OPS)
+
+    @pytest.mark.parametrize("op", sorted(_OFF_DEFAULT))
+    def test_round_trip_bit_exact(self, tmp_path, op):
+        for p, (_, default) in OPS[op].params.items():
+            assert _OFF_DEFAULT[op][1][p] != default, p
+        g = _off_default_graph(op)
+        ms.save_model(g, tmp_path / "m.txt", tmp_path / "m.bin")
+        g2 = ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin")
+        assert format_manifest(g2) == (tmp_path / "m.txt").read_text()
+        assert g2.nodes[0].params == g.nodes[0].params
+        x = np.random.default_rng(6).uniform(-2, 2, g.input_shape).astype(np.float32)
+        assert np.array_equal(ms.forward(g, x), ms.forward(g2, x))
+
+    def test_labels_with_inner_spaces_reload(self, tmp_path):
+        g = _rebuilt(linear_classifier(seed=3), labels=("hip hop", "drum  and bass", "r&b"))
+        ms.save_model(g, tmp_path / "m.txt", tmp_path / "m.bin")
+        assert ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin").labels == g.labels
+
+    def test_config_beyond_six_digits_reloads(self, tmp_path):
+        g = _rebuilt(linear_classifier(seed=3), feature_config=ms.MelConfig(
+            frame_size=512, hop_size=256, n_mels=96, f_min=12.34567, f_max=7999.9999))
+        ms.save_model(g, tmp_path / "m.txt", tmp_path / "m.bin")
+        assert ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin").feature_config == \
+            g.feature_config
+
+    @pytest.mark.parametrize("old, new", [
+        ("epsilon=0.001234567891", "epsilon=nan"),
+        ("output n\n", "output n\ninput in 6,5,2\n"),
+        ("feature_config.window hann\n", "feature_config.window hann\n" * 2),
+        ("epsilon=0.001234567891", "epsilon=0.5 epsilon=0.001234567891"),
+    ], ids=["float-nan", "second-input", "repeated-feature-config", "repeated-param"])
+    def test_manifest_rejected_at_load(self, tmp_path, old, new):
+        ms.save_model(_off_default_graph("batch_norm"), tmp_path / "m.txt", tmp_path / "m.bin")
+        text = (tmp_path / "m.txt").read_text()
+        assert old in text
+        (tmp_path / "m.txt").write_text(text.replace(old, new))
+        with pytest.raises(ManifestError):
+            ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin")
+
+    def test_f_max_above_model_nyquist(self, tmp_path):
+        g = linear_classifier(seed=3)
+        ms.save_model(g, tmp_path / "m.txt", tmp_path / "m.bin")
+        text = (tmp_path / "m.txt").read_text()
+        assert "sample_rate 16000\n" in text and "feature_config.f_max 8000\n" in text
+        (tmp_path / "m.txt").write_text(text.replace("sample_rate 16000", "sample_rate 8000"))
+        with pytest.raises(ManifestError, match="Nyquist"):
+            ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin")
