@@ -6,6 +6,13 @@ validation rejects self or forward references as cycles. One pass at
 build time validates each node, resolves its weight params to arrays and
 infers its shape; evaluation runs the stored steps, checking the input
 shape and that every activation stays finite.
+
+The same pass marks the graph's time-local prefix: the nodes fed only by
+a rank-3 input or by other prefix nodes whose op has a row rule in
+``ops.OPS`` (output row t reads only input rows t..t+halo). Evaluation
+runs the prefix in fixed blocks of ``_ROW_BLOCK`` output rows, each cut
+from the input with its halo, and the rest of the graph, the suffix,
+whole. A stream runs the same blocks as its patch fills.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/]+$")
 _LABEL_RE = re.compile(r"[^;\s]+(?: +[^;\s]+)*")
 
 FORMAT_VERSION = 1
+# Prefix rows per block; blocks start at row 0, so the last block of a patch may be shorter.
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -35,7 +44,7 @@ class Node:
     params: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelGraph:
     """Validated inference graph plus everything needed to run audio through it."""
 
@@ -52,6 +61,10 @@ class ModelGraph:
     node_shapes: dict[str, tuple[int, ...]]
     # One (node, op kernel, resolved weight params) per node, in node order.
     _steps: tuple = field(repr=False)
+    # Halo rows of the rank-3 input (0) and of each time-local prefix node.
+    _halos: dict = field(repr=False)
+    # (first output row, end of the input rows read) of each prefix block, in order.
+    _blocks: tuple = field(repr=False)
 
 
 def _check_name(name: str, what: str) -> None:
@@ -113,6 +126,7 @@ def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
 
     # One pass in order: shapes holds the input and every node defined so far.
     shapes: dict[str, tuple[int, ...]] = {input_name: input_shape}
+    halos = {input_name: 0} if len(input_shape) == 3 else {}
     steps = []
     for node in nodes:
         _check_name(node.name, "node")
@@ -144,7 +158,15 @@ def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
         wshapes = {p: None if w is None else w.shape for p, w in wts.items()}
         shapes[node.name] = tuple(int(x) for x in d.infer(in_shapes, wshapes, node.params))
         steps.append((node, d.apply, wts))
+        in_halos = {halos.get(ref) for ref in node.inputs}
+        if d.rows is not None and len(in_halos) == 1 and None not in in_halos:
+            added = d.rows(node.params, wshapes)
+            if added is not None:
+                halos[node.name] = in_halos.pop() + added
 
+    rows, halo = input_shape[0], max(halos.values(), default=0)
+    blocks = tuple((r0, min(r0 + _ROW_BLOCK + halo, rows))
+                   for r0 in range(0, rows - halo, _ROW_BLOCK)) if len(halos) > 1 else ()
     if labels and shapes[output_name] != (len(labels),):
         raise ShapeMismatch(
             f"{len(labels)} labels but output {output_name!r} has shape {shapes[output_name]}")
@@ -153,7 +175,7 @@ def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
         embedding_name=embedding_name, nodes=tuple(node for node, _, _ in steps),
         weights=weights, labels=labels, patch_frames=int(patch_frames),
         feature_config=feature_config, sample_rate=int(sample_rate), node_shapes=shapes,
-        _steps=tuple(steps))
+        _steps=tuple(steps), _halos=halos, _blocks=blocks)
 
 
 def _needed(graph: ModelGraph, target: str, given=()) -> set[str]:
@@ -169,12 +191,57 @@ def _needed(graph: ModelGraph, target: str, given=()) -> set[str]:
     return needed
 
 
+def _split(graph: ModelGraph, target: str, given) -> tuple[list, list, list]:
+    """The steps that evaluate ``target`` from the names in ``given``.
+
+    Returns the prefix steps, the suffix steps and the names of the prefix
+    nodes whose rows the suffix or the caller reads.
+    """
+    needed = _needed(graph, target, given)
+    if graph.input_name in needed and graph.input_name not in given:
+        raise InputShapeMismatch(f"graph input {graph.input_name!r} was not provided")
+    steps = [s for s in graph._steps if s[0].name in needed and s[0].name not in given]
+    prefix = [s for s in steps if s[0].name in graph._halos]
+    suffix = [s for s in steps if s[0].name not in graph._halos]
+    read = {target}.union(*(node.inputs for node, _, _ in suffix))
+    return prefix, suffix, [node.name for node, _, _ in prefix if node.name in read]
+
+
+def _run(steps, memo: dict, weights: dict) -> None:
+    """Run steps in order into ``memo``, checking that every activation is finite."""
+    for node, apply, wts in steps:
+        inputs = [memo[r] if r in memo else weights[r] for r in node.inputs]
+        out = np.ascontiguousarray(apply(inputs, wts, node.params), dtype=np.float32)
+        if not np.isfinite(out).all():
+            raise NonFiniteActivation(f"node {node.name!r} produced non-finite values")
+        memo[node.name] = out
+
+
+def _prefix_block(graph: ModelGraph, steps, sources: dict, block, rows: dict) -> None:
+    """Run the prefix steps on one block and write its rows into ``rows``' buffers.
+
+    ``sources`` holds the input (and any seeded prefix node) whole; the block
+    reads input rows r0..end, so each prefix node gets its rows r0..end - halo.
+    A block keeps its first ``_ROW_BLOCK`` rows, the last block all of them.
+    """
+    r0, end = block
+    halos = graph._halos
+    memo = {name: value[r0:end - halos[name]] for name, value in sources.items()
+            if name in halos}
+    _run(steps, memo, graph.weights)
+    last = end == graph.input_shape[0]
+    for name, buf in rows.items():
+        part = memo[name] if last else memo[name][:_ROW_BLOCK]
+        buf[r0:r0 + len(part)] = part
+
+
 def forward_from(graph: ModelGraph, seeds: dict, until: str | None = None) -> np.ndarray:
     """Evaluate up to ``until`` (default: the output) from precomputed activations.
 
     ``seeds`` maps the graph input and/or node names to tensors; anything
     not seeded is computed from its own inputs. Useful for resuming from
-    an intermediate layer.
+    an intermediate layer. The time-local prefix runs in row blocks, the
+    rest whole.
     """
     target = until if until is not None else graph.output_name
     if target not in graph.node_shapes:
@@ -190,17 +257,13 @@ def forward_from(graph: ModelGraph, seeds: dict, until: str | None = None) -> np
                 f"{key!r} expects shape {graph.node_shapes[key]}, got {arr.shape}")
         memo[key] = arr
 
-    needed = _needed(graph, target, memo)
-    if graph.input_name in needed and graph.input_name not in memo:
-        raise InputShapeMismatch(f"graph input {graph.input_name!r} was not provided")
-    for node, apply, wts in graph._steps:
-        if node.name not in needed or node.name in memo:
-            continue
-        inputs = [memo[r] if r in memo else graph.weights[r] for r in node.inputs]
-        out = np.ascontiguousarray(apply(inputs, wts, node.params), dtype=np.float32)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteActivation(f"node {node.name!r} produced non-finite values")
-        memo[node.name] = out
+    prefix, suffix, kept = _split(graph, target, memo)
+    if prefix:
+        rows = {name: np.empty(graph.node_shapes[name], dtype=np.float32) for name in kept}
+        for block in graph._blocks:
+            _prefix_block(graph, prefix, memo, block, rows)
+        memo.update(rows)
+    _run(suffix, memo, graph.weights)
     return memo[target]
 
 

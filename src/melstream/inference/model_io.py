@@ -34,7 +34,7 @@ import numpy as np
 
 from ..dsp import MelConfig
 from ..errors import ConfigError, ManifestError, MissingWeight, ModelLoadError, ShapeMismatch
-from .graph import FORMAT_VERSION, ModelGraph, Node, build_graph, normalize_params
+from .graph import FORMAT_VERSION, ModelGraph, Node, build_graph
 from .ops import _KINDS, op_def, weight_param_names
 
 WEIGHTS_MAGIC = b"MSTW"
@@ -154,11 +154,14 @@ def _parse_node_line(rest: str) -> Node:
         except ValueError:
             raise ManifestError(f"bad value {value!r} for {key!r} on node {name!r}") from None
     inputs = params.pop("inputs", ())
-    return Node(name=name, op=kind, inputs=inputs, params=normalize_params(name, kind, params))
+    return Node(name=name, op=kind, inputs=inputs, params=params)
 
 
 def parse_manifest(text: str) -> dict:
-    """Parse manifest text into its pieces (no weights attached yet)."""
+    """Parse manifest text into its pieces (no weights attached yet).
+
+    Node param values are read but not checked; ``build_graph`` checks them.
+    """
     seen: dict = {}  # header values, and feature_config.* texts under their full keys
     weight_decls: dict[str, tuple[int, ...]] = {}
     nodes: list[Node] = []
@@ -252,7 +255,7 @@ def load_model(manifest_path, weights_path) -> ModelGraph:
     undeclared = stored.keys() - weights.keys()
     for node in pieces["nodes"] if undeclared else ():
         for key in weight_param_names(node.op):
-            if node.params[key] in undeclared:
+            if node.params.get(key) in undeclared:
                 raise MissingWeight(f"node {node.name!r} references weight {node.params[key]!r} "
                                     "(present in the weights file but not declared)")
     return build_graph(weights=weights, **pieces)

@@ -32,9 +32,12 @@ def _pad_amounts(size: int, k: int, stride: int) -> tuple[int, int]:
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    # (oh, ow, kh, kw, C) view over a rank-3 HWC array.
-    v = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(0, 1))
-    return v[::sh, ::sw].transpose(0, 1, 3, 4, 2)
+    # (oh, ow, kh, kw, C) view over a rank-3 HWC array; a direct ndarray, because
+    # sliding_window_view costs ~10 µs a call and a prefix block makes several.
+    x = np.ascontiguousarray(x)
+    (h, w, c), (s0, s1, s2) = x.shape, x.strides
+    return np.ndarray(((h - kh) // sh + 1, (w - kw) // sw + 1, kh, kw, c), x.dtype, x,
+                      strides=(s0 * sh, s1 * sw, s0, s1, s2))
 
 
 def _conv2d(inputs, wts, params):
@@ -142,7 +145,10 @@ def _relu(inputs, wts, params):
 
 def _elu(inputs, wts, params):
     x = inputs[0]
-    return np.where(x > 0, x, F32(params["alpha"]) * np.expm1(x)).astype(F32)
+    pos = x > 0
+    # expm1 runs on x <= 0 only, so a large activation cannot overflow it; np.where, unlike
+    # np.minimum, passes a -0.0 through as it is.
+    return np.where(pos, x, F32(params["alpha"]) * np.expm1(np.where(pos, F32(0), x))).astype(F32)
 
 
 def _sigmoid(inputs, wts, params):
@@ -238,29 +244,52 @@ class OpDef:
     params: dict  # param name -> (kind in _KINDS, default)
     min_inputs: int = 1
     max_inputs: int = 1
+    # Row rule on rank-3 inputs: (params, weight shapes) -> the halo rows the op adds when
+    # its output row t reads only input rows t..t+halo, else None. No rule: never time-local.
+    rows: Callable | None = None
+
+
+def _pointwise_rows(params, wshapes):
+    return 0
+
+
+def _conv2d_rows(params, wshapes):
+    if params["padding"] == "valid" and params["stride"][0] == 1:
+        return wshapes["weight"][0] - 1
+    return None
+
+
+def _pool_rows(params, wshapes):
+    stride = params["stride"] if params["stride"] is not None else params["pool"]
+    return 0 if params["pool"][0] == stride[0] == 1 else None
+
+
+def _concat_rows(params, wshapes):
+    return 0 if params["axis"] % 3 else None
 
 
 OPS: dict[str, OpDef] = {
     "conv2d": OpDef(_conv2d, _conv2d_shape, {
         "weight": ("weight", _REQUIRED), "bias": ("weight", None),
-        "stride": ("pair", (1, 1)), "padding": ("padding", "valid")}),
+        "stride": ("pair", (1, 1)), "padding": ("padding", "valid")}, rows=_conv2d_rows),
     "dense": OpDef(_dense, _dense_shape, {
         "weight": ("weight", _REQUIRED), "bias": ("weight", None)}),
     "batch_norm": OpDef(_batch_norm, _batch_norm_shape, {
         "gamma": ("weight", _REQUIRED), "beta": ("weight", _REQUIRED),
         "mean": ("weight", _REQUIRED), "variance": ("weight", _REQUIRED),
-        "epsilon": ("float", 1e-3)}),
+        "epsilon": ("float", 1e-3)}, rows=_pointwise_rows),
     "max_pool2d": OpDef(lambda i, w, p: _pool(i, p, np.max), _pool_shape, {
-        "pool": ("pair", _REQUIRED), "stride": ("pair", None)}),
+        "pool": ("pair", _REQUIRED), "stride": ("pair", None)}, rows=_pool_rows),
     "mean_pool2d": OpDef(lambda i, w, p: _pool(i, p, np.mean), _pool_shape, {
-        "pool": ("pair", _REQUIRED), "stride": ("pair", None)}),
-    "relu": OpDef(_relu, _same_shape, {}),
-    "elu": OpDef(_elu, _same_shape, {"alpha": ("float", 1.0)}),
-    "sigmoid": OpDef(_sigmoid, _same_shape, {}),
+        "pool": ("pair", _REQUIRED), "stride": ("pair", None)}, rows=_pool_rows),
+    "relu": OpDef(_relu, _same_shape, {}, rows=_pointwise_rows),
+    "elu": OpDef(_elu, _same_shape, {"alpha": ("float", 1.0)}, rows=_pointwise_rows),
+    "sigmoid": OpDef(_sigmoid, _same_shape, {}, rows=_pointwise_rows),
     "softmax": OpDef(_softmax, _same_shape, {}),
     "flatten": OpDef(_flatten, _flatten_shape, {}),
-    "dropout": OpDef(_identity, _same_shape, {}),
-    "concat": OpDef(_concat, _concat_shape, {"axis": ("int", 0)}, min_inputs=1, max_inputs=None),
+    "dropout": OpDef(_identity, _same_shape, {}, rows=_pointwise_rows),
+    "concat": OpDef(_concat, _concat_shape, {"axis": ("int", 0)}, min_inputs=1, max_inputs=None,
+                    rows=_concat_rows),
 }
 
 

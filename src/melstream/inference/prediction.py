@@ -7,8 +7,9 @@ when padding is disabled). Per-patch activations are aggregated across
 patches by mean (default) or max.
 
 This module is the one path from audio to per-patch outputs: ``predict``,
-``embed_patches``, the command line and the stream pipeline all run their
-patches through :func:`run_patches`.
+``embed_patches`` and the command line run their patches through
+:func:`run_patches`. The stream pipeline runs the same prefix blocks and
+suffix that ``forward`` runs (see ``graph``), the blocks as the patch fills.
 """
 
 from __future__ import annotations

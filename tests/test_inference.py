@@ -1,7 +1,11 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 import melstream as ms
+import melstream.inference.graph as graph_module
 from melstream.errors import (CyclicGraph, InputShapeMismatch, ManifestError,
                               MissingWeight, NonFiniteActivation, ShapeMismatch,
                               TrackTooShort, UnknownNode, UnsupportedOp)
@@ -9,7 +13,7 @@ from melstream.inference.ops import OPS, op_def
 from melstream.inference.prediction import patch_to_input, tile_patches
 
 import oracles
-from util import linear_classifier
+from util import linear_classifier, toy_cnn, valid_cnn
 
 CFG = ms.MelConfig(frame_size=64, hop_size=32, n_mels=6, f_max=4000.0)
 
@@ -180,6 +184,19 @@ class TestActivations:
         out = ms.forward(g, np.array([-1.0], dtype=np.float32))
         assert out[0] == pytest.approx(2.0 * (np.exp(-1.0) - 1.0), rel=1e-6)
 
+    def test_elu_large_inputs_do_not_overflow(self):
+        x = np.concatenate([np.linspace(-60, 1e4, 4001), [-0.0, 0.0, 88.0, 88.7, 89.0]])
+        x = x.astype(np.float32)
+        g = single_op("elu", {"alpha": 0.7}, x.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ms.forward(g, x)
+        assert np.array_equal(out[x > 0], x[x > 0])
+        # Bit for bit (-0.0 included) what expm1 on every value gave where it did not overflow.
+        low = x[x <= 88]
+        old = np.where(low > 0, low, np.float32(0.7) * np.expm1(low)).astype(np.float32)
+        assert np.array_equal(out[x <= 88].view(np.uint32), old.view(np.uint32))
+
     def test_dropout_is_identity(self):
         g = single_op("dropout", {}, (5,))
         x = np.arange(5, dtype=np.float32)
@@ -294,6 +311,98 @@ class TestGraphValidation:
         nodes = [ms.Node("a", "relu", ("in",), {})]
         g = build(nodes, {}, (4,), "a", labels=())
         assert g.labels == ()
+
+
+class TestFrozenGraph:
+    def test_assigning_a_field_raises(self):
+        g = linear_classifier(n_labels=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.labels = ("a;b", "c", "d")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.patch_frames = 7
+        assert g.labels == ("label0", "label1", "label2") and g.patch_frames == 186
+
+
+def _whole(graph, x):
+    """Every node's activation, each node run once on whole tensors (no row blocks)."""
+    memo = {graph.input_name: np.ascontiguousarray(x, dtype=np.float32)}
+    for node in graph.nodes:
+        wts = {p: None if node.params[p] is None else graph.weights[node.params[p]]
+               for p, (kind, _) in op_def(node.op).params.items() if kind == "weight"}
+        inputs = [memo[r] if r in memo else graph.weights[r] for r in node.inputs]
+        out = op_def(node.op).apply(inputs, wts, node.params)
+        memo[node.name] = np.ascontiguousarray(out, dtype=np.float32)
+    return memo
+
+
+class TestTimeLocalPrefix:
+    def test_prefix_ends_at_the_concat(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_ROW_BLOCK", 16)
+        g = valid_cnn()
+        names = [n.name for n in g.nodes]
+        front = names.index("front")
+        assert set(g._halos) == {"in", *names[:front + 1]}
+        assert g._halos["e_pool"] == 0
+        assert {g._halos[n] for n in ("a_pool", "b_pool", "e_elu", "front")} == {6}
+        # 34 prefix rows in blocks of 16, each reading its rows plus a 6-row halo.
+        assert g._blocks == ((0, 22), (16, 38), (32, 40))
+
+    @pytest.mark.parametrize("make", [linear_classifier, toy_cnn])
+    def test_models_without_a_prefix(self, make):
+        g = make()
+        assert g._halos == {"in": 0} and g._blocks == ()
+
+    @pytest.mark.parametrize("op, params, weights, halo", [
+        ("conv2d", {"weight": "k"}, {"k": (3, 2, 3, 4)}, 2),
+        ("conv2d", {"weight": "k", "stride": (1, 2)}, {"k": (4, 2, 3, 4)}, 3),
+        ("conv2d", {"weight": "k", "stride": (2, 1)}, {"k": (3, 2, 3, 4)}, None),
+        ("conv2d", {"weight": "k", "padding": "same"}, {"k": (3, 2, 3, 4)}, None),
+        ("max_pool2d", {"pool": (1, 3)}, {}, 0),
+        ("mean_pool2d", {"pool": (1, 2), "stride": (1, 2)}, {}, 0),
+        ("max_pool2d", {"pool": (2, 1)}, {}, None),
+        ("mean_pool2d", {"pool": (1, 2), "stride": (2, 1)}, {}, None),
+        ("batch_norm", {"gamma": "c", "beta": "c", "mean": "c", "variance": "c"},
+         {"c": (3,)}, 0),
+        ("relu", {}, {}, 0), ("elu", {}, {}, 0), ("sigmoid", {}, {}, 0), ("dropout", {}, {}, 0),
+        ("softmax", {}, {}, None), ("flatten", {}, {}, None),
+        ("concat", {"axis": 1}, {}, 0), ("concat", {"axis": -1}, {}, 0),
+        ("concat", {"axis": 0}, {}, None), ("concat", {"axis": -3}, {}, None),
+    ])
+    def test_row_rules(self, op, params, weights, halo):
+        g = single_op(op, params, (9, 7, 3),
+                      {k: np.ones(s, dtype=np.float32) for k, s in weights.items()})
+        assert g._halos.get("n") == halo
+
+    def test_rank_one_input_has_no_prefix(self):
+        assert single_op("relu", {}, (4,))._halos == {}
+
+    def test_node_after_the_suffix_starts_is_suffix(self):
+        nodes = [ms.Node("p", "max_pool2d", ("in",), {"pool": (2, 1)}),
+                 ms.Node("r", "relu", ("p",), {}),
+                 ms.Node("w", "relu", ("in",), {})]
+        g = build(nodes, {}, (8, 4, 2), "r")
+        assert set(g._halos) == {"in", "w"}
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 16, 64])
+    def test_blocks_match_whole_node_evaluation(self, monkeypatch, block):
+        # Not bit for bit: a block's GEMM may round differently from the whole patch's.
+        monkeypatch.setattr(graph_module, "_ROW_BLOCK", block)
+        g = valid_cnn()
+        x = np.random.default_rng(31).uniform(0.5, 3.0, (40, 24, 1)).astype(np.float32)
+        ref = _whole(g, x)
+        for until in (None, "front", "a_relu", "e_pool", "flat"):
+            np.testing.assert_allclose(ms.forward(g, x, until), ref[until or g.output_name],
+                                       rtol=1e-5, atol=1e-6)
+        # A seeded prefix node is cut into the same blocks as the input.
+        seeded = ms.forward_from(g, {"in": x, "a_relu": ref["a_relu"], "e_pool": ref["e_pool"]})
+        np.testing.assert_allclose(seeded, ref["probs"], rtol=1e-5, atol=1e-6)
+
+    def test_non_finite_prefix_activation_caught(self):
+        g = valid_cnn()
+        x = np.ones((40, 24, 1), dtype=np.float32)
+        x[37, 3, 0] = np.inf
+        with pytest.raises(NonFiniteActivation, match="a_conv"):
+            ms.forward(g, x)
 
 
 class TestForward:

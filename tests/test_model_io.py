@@ -6,13 +6,23 @@ import numpy as np
 import pytest
 
 import melstream as ms
+import melstream.inference.graph as graph_module
+import melstream.inference.model_io as model_io
 from melstream.errors import ManifestError, MissingWeight, ModelLoadError, ShapeMismatch
 from melstream.inference import OPS
 from melstream.inference.model_io import (encode_weights, format_manifest,
                                           parse_manifest, read_weights,
                                           write_weights)
 
-from util import linear_classifier
+from util import linear_classifier, valid_cnn
+
+
+def _load_with_node(tmp_path, line):
+    """load_model on a saved linear_classifier whose manifest gains one node line."""
+    manifest = tmp_path / "m.txt"
+    ms.save_model(linear_classifier(seed=3), manifest, tmp_path / "m.bin")
+    manifest.write_text(manifest.read_text() + line + "\n")
+    return ms.load_model(manifest, tmp_path / "m.bin")
 
 
 class TestWeightsBinary:
@@ -216,27 +226,23 @@ class TestManifestText:
                            "embedding n\npatch_frames 4\nsample_rate 8000\n"
                            "node n relu in\n")
 
-    def test_node_line_missing_required_weight(self):
-        with pytest.raises(ManifestError):
-            parse_manifest("format_version 1\ninput in 4\noutput n\n"
-                           "embedding n\npatch_frames 4\nsample_rate 8000\n"
-                           "node n dense inputs=in\n")
+    # Param values are checked once, by build_graph, so these load a whole model.
+    def test_node_line_missing_required_weight(self, tmp_path):
+        with pytest.raises(ManifestError, match="requires 'weight'"):
+            _load_with_node(tmp_path, "node n dense inputs=in")
 
-    def test_node_line_missing_required_param(self):
+    def test_node_line_missing_required_param(self, tmp_path):
         with pytest.raises(ManifestError, match="requires 'pool'"):
-            parse_manifest("format_version 1\ninput in 4,4,1\noutput n\n"
-                           "embedding n\npatch_frames 4\nsample_rate 8000\n"
-                           "node n max_pool2d inputs=in\n")
+            _load_with_node(tmp_path, "node n max_pool2d inputs=in")
 
     @pytest.mark.parametrize("node", ["node n max_pool2d inputs=in pool=0,2",
                                       "node n mean_pool2d inputs=in pool=2,2 stride=1,0",
                                       "node n max_pool2d inputs=in pool=-1,2",
                                       "node n conv2d inputs=in weight=k stride=0,1"],
                              ids=["pool-zero", "stride-zero", "pool-negative", "conv-stride-zero"])
-    def test_node_line_non_positive_pair(self, node):
+    def test_node_line_non_positive_pair(self, tmp_path, node):
         with pytest.raises(ManifestError, match="must be positive"):
-            parse_manifest("format_version 1\ninput in 4,4,1\noutput n\n"
-                           "embedding n\npatch_frames 4\nsample_rate 8000\n" + node + "\n")
+            _load_with_node(tmp_path, node)
 
     @pytest.mark.parametrize("old, new", [
         ("feature_config.hop_size 256", "feature_config.hop_size abc"),
@@ -257,6 +263,22 @@ class TestManifestText:
 
 
 class TestSaveLoad:
+    def test_params_normalized_once_per_node_per_load(self, tmp_path, monkeypatch):
+        g = valid_cnn()
+        ms.save_model(g, tmp_path / "m.txt", tmp_path / "m.bin")
+        calls = []
+        normalize = graph_module.normalize_params
+
+        def counting(name, op, given):
+            calls.append(name)
+            return normalize(name, op, given)
+
+        monkeypatch.setattr(graph_module, "normalize_params", counting)
+        monkeypatch.setattr(model_io, "normalize_params", counting, raising=False)
+        loaded = ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin")
+        assert sorted(calls) == sorted(node.name for node in g.nodes)
+        assert [n.params for n in loaded.nodes] == [n.params for n in g.nodes]
+
     def test_forward_bit_exact_after_round_trip(self, tmp_path):
         g = linear_classifier(seed=11)
         ms.save_model(g, tmp_path / "m.txt", tmp_path / "m.bin")

@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import melstream as ms
+import melstream.inference.graph as graph_module
 import melstream.streaming
 from melstream.dsp import _MEL_BLOCK
 from melstream.errors import AlreadyFlushed, InputShapeMismatch
+from melstream.inference.prediction import run_patches
 
-from util import linear_classifier
+from util import VALID_CNN_RATE, linear_classifier, valid_cnn
 
 
 def stream_all(pipe, signal, chunks):
@@ -174,6 +182,87 @@ class TestModelStreaming:
                                labels=(), patch_frames=4, feature_config=cfg, sample_rate=8000)
         with pytest.raises(InputShapeMismatch):
             ms.StreamPipeline(model=graph)
+
+
+def _valid_cnn_signal(patches: int = 3, seed: int = 21) -> np.ndarray:
+    # 256 + 39 * 64 samples make one 40-frame patch; add a partial patch after the last.
+    return np.random.default_rng(seed).uniform(-0.9, 0.9, patches * 2752 + 900)
+
+
+class TestPrefixStreaming:
+    """A model with a time-local prefix: blocks run as the patch fills."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256, 4096, 65536])
+    def test_patches_match_offline_predict(self, chunk):
+        graph = valid_cnn()
+        x = _valid_cnn_signal()
+        offline = ms.predict(graph, ms.AudioBuffer(x, VALID_CNN_RATE)).per_patch
+        pipe = ms.StreamPipeline(model=graph)
+        _, patches = stream_all(pipe, x, [chunk] * -(-x.size // chunk))
+        assert offline.shape == (3, 5)
+        assert np.array_equal(patches, offline)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 16, 64])
+    def test_random_cuts_at_any_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(graph_module, "_ROW_BLOCK", block)
+        graph = valid_cnn()
+        rng = np.random.default_rng(22 + block)
+        x = _valid_cnn_signal(seed=block)
+        offline = ms.predict(graph, ms.AudioBuffer(x, VALID_CNN_RATE)).per_patch
+        for trial in range(4):
+            pipe = ms.StreamPipeline(model=graph)
+            _, patches = stream_all(pipe, x, random_chunking(rng, x.size, 1, 3000))
+            assert np.array_equal(patches, offline), f"trial {trial}"
+
+    def test_prefix_output_not_overwritten_by_later_patches(self):
+        # The output is the prefix's last node, so the suffix is empty; one push
+        # completes three patches.
+        graph = valid_cnn(output="front")
+        x = _valid_cnn_signal()
+        mel = ms.mel_spectrogram(ms.AudioBuffer(x, VALID_CNN_RATE), graph.feature_config)
+        offline = run_patches(graph, ms.tile_patches(mel.frames, graph.patch_frames))
+        _, patches = stream_all(ms.StreamPipeline(model=graph), x, [x.size])
+        assert patches.shape == (3, 34 * 18)
+        assert np.array_equal(patches, offline)
+
+    def test_held_rows_do_not_grow(self):
+        pipe = ms.StreamPipeline(model=valid_cnn())
+        x = _valid_cnn_signal(patches=6)
+        sizes = []
+        for i in range(0, x.size, 97):
+            pipe.push(x[i:i + 97])
+            sizes.append((pipe._patch.shape, {k: v.shape for k, v in pipe._rows.items()}))
+        assert pipe.patches_emitted == 6
+        assert all(size == ((40, 24), {"front": (34, 1, 18)}) for size in sizes)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stream_matches_offline_at_blas_threads(self, threads):
+        # A 120-frame patch makes the convs' GEMMs large enough to be threaded.
+        code = textwrap.dedent("""
+            import numpy as np
+            import melstream as ms
+            from test_streaming import random_chunking, stream_all
+            from util import VALID_CNN_RATE, valid_cnn
+
+            graph = valid_cnn(patch_frames=120)
+            x = np.random.default_rng(5).uniform(-0.9, 0.9, 3 * 7872 + 500)
+            offline = ms.predict(graph, ms.AudioBuffer(x, VALID_CNN_RATE)).per_patch
+            rng = np.random.default_rng(6)
+            cuts = [[7] * -(-x.size // 7), [256] * -(-x.size // 256), [x.size],
+                    random_chunking(rng, x.size, 1, 5000)]
+            for chunks in cuts:
+                _, patches = stream_all(ms.StreamPipeline(model=graph), x, chunks)
+                assert patches.shape == (3, 5) and np.array_equal(patches, offline)
+            print("equal")
+        """)
+        tests = Path(__file__).resolve().parent
+        src = Path(ms.__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join((str(src), str(tests)))}
+        run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["equal"]
 
 
 class TestLatency:

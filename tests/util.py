@@ -88,3 +88,60 @@ def dataset_csv(path, rows) -> None:
         lines.append(f"{track},{audio},{';'.join(labels)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+VALID_CNN_CONFIG = ms.MelConfig(frame_size=256, hop_size=64, n_mels=24, f_max=4000.0,
+                                compression="log10")
+VALID_CNN_RATE = 8000
+
+
+def valid_cnn(n_labels: int = 5, patch_frames: int = 40, seed: int = 9, output: str = "probs"):
+    """A small graph with a time-local prefix up to the ``front`` concat.
+
+    Two valid 7-tap convs of different widths, each max-pooled over frequency
+    only, and a mean-pooled elu branch meet in a concat off axis 0; a
+    same-padded conv and global pooling follow.
+    """
+    cfg = VALID_CNN_CONFIG
+    rng = np.random.default_rng(seed)
+    weights = {}
+
+    def w(name, *shape):
+        fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else 100
+        weights[name] = rng.normal(scale=fan_in ** -0.5, size=shape).astype(np.float32)
+        return name
+
+    def bn(prefix, channels):
+        weights[f"{prefix}_g"] = rng.uniform(0.5, 1.5, channels).astype(np.float32)
+        weights[f"{prefix}_b"] = rng.normal(0.0, 0.1, channels).astype(np.float32)
+        weights[f"{prefix}_m"] = rng.normal(0.0, 0.1, channels).astype(np.float32)
+        weights[f"{prefix}_v"] = rng.uniform(0.5, 1.5, channels).astype(np.float32)
+        return {"gamma": f"{prefix}_g", "beta": f"{prefix}_b",
+                "mean": f"{prefix}_m", "variance": f"{prefix}_v"}
+
+    t = patch_frames - 6
+    nodes = [
+        ms.Node("a_conv", "conv2d", ("in",), {"weight": w("ka", 7, 18, 1, 8), "bias": w("ba", 8)}),
+        ms.Node("a_bn", "batch_norm", ("a_conv",), bn("a_bn", 8)),
+        ms.Node("a_relu", "relu", ("a_bn",), {}),
+        ms.Node("a_pool", "max_pool2d", ("a_relu",), {"pool": (1, 7)}),
+        ms.Node("b_conv", "conv2d", ("in",), {"weight": w("kb", 7, 8, 1, 6)}),
+        ms.Node("b_drop", "dropout", ("b_conv",), {}),
+        ms.Node("b_pool", "max_pool2d", ("b_drop",), {"pool": (1, 17), "stride": (1, 1)}),
+        ms.Node("e_pool", "mean_pool2d", ("in",), {"pool": (1, 24)}),
+        ms.Node("e_conv", "conv2d", ("e_pool",), {"weight": w("ke", 7, 1, 1, 4)}),
+        ms.Node("e_elu", "elu", ("e_conv",), {"alpha": 0.7}),
+        ms.Node("front", "concat", ("a_pool", "b_pool", "e_elu"), {"axis": -1}),
+        ms.Node("mid", "conv2d", ("front",),
+                {"weight": w("km", 3, 1, 18, 8), "bias": w("bm", 8), "padding": "same"}),
+        ms.Node("mid_relu", "relu", ("mid",), {}),
+        ms.Node("g_max", "max_pool2d", ("mid_relu",), {"pool": (t, 1)}),
+        ms.Node("flat", "flatten", ("g_max",), {}),
+        ms.Node("logits", "dense", ("flat",), {"weight": w("wd", 8, n_labels)}),
+        ms.Node("probs", "softmax", ("logits",), {}),
+    ]
+    labels = tuple(f"tag{i}" for i in range(n_labels)) if output == "probs" else ()
+    return ms.build_graph(input_name="in", input_shape=(patch_frames, cfg.n_mels, 1),
+                          output_name=output, embedding_name="flat", nodes=nodes,
+                          weights=weights, labels=labels, patch_frames=patch_frames,
+                          feature_config=cfg, sample_rate=VALID_CNN_RATE)
