@@ -34,6 +34,11 @@ _CHOICES = {
 
 LOG_FLOOR = 1e-10
 
+# Bounds on what a config can make the front end allocate: the FFT size, and the
+# n_mels x (fft_size // 2 + 1) filterbank weights (64 MB of float64). The presets use 96 x 257.
+_MAX_FFT = 1 << 16
+_MAX_FILTER_WEIGHTS = 1 << 23
+
 # Frames per mel kernel call, offline and per push; rows do not depend on it, 256 cost memory.
 _MEL_BLOCK = 64
 
@@ -134,9 +139,14 @@ class MelConfig:
         fft = self.fft_size if self.fft_size is not None else _next_pow2(self.frame_size)
         if fft < self.frame_size or fft & (fft - 1):
             raise ConfigError(f"fft_size must be a power of two >= frame_size, got {fft}")
+        if fft > _MAX_FFT:
+            raise ConfigError(f"fft_size must be at most {_MAX_FFT}, got {fft}")
         object.__setattr__(self, "fft_size", int(fft))
         if self.n_mels < 1:
             raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
+        if self.n_mels * (fft // 2 + 1) > _MAX_FILTER_WEIGHTS:
+            raise ConfigError(f"n_mels {self.n_mels} x {fft // 2 + 1} FFT bins exceeds the "
+                              f"{_MAX_FILTER_WEIGHTS} filterbank weights allowed")
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
@@ -234,20 +244,6 @@ def _frame_view(x: np.ndarray, frame_size: int, hop_size: int) -> np.ndarray:
     x = np.ascontiguousarray(x)
     t = max((x.size - frame_size) // hop_size + 1, 0)
     return np.ndarray((t, frame_size), x.dtype, x, strides=(hop_size * x.itemsize, x.itemsize))
-
-
-def power_spectrum(frame: np.ndarray, window: str = "rectangular",
-                   fft_size: int | None = None, spectrum_type: str = "power") -> np.ndarray:
-    """Windowed, zero-padded spectrum of one frame (fft_size // 2 + 1 bins)."""
-    x = np.asarray(frame, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("frame must be a non-empty 1-D array")
-    n = fft_size if fft_size is not None else _next_pow2(x.size)
-    if n < x.size or n & (n - 1):
-        raise ConfigError(f"fft_size must be a power of two >= frame length, got {n}")
-    if spectrum_type not in _CHOICES["spectrum_type"]:
-        raise ConfigError(f"unknown spectrum type {spectrum_type!r}")
-    return _spectrum(x * window_vector(window, x.size), n, spectrum_type)
 
 
 def _spectrum(windowed: np.ndarray, fft_size: int, spectrum_type: str) -> np.ndarray:

@@ -9,10 +9,10 @@ shape and that every activation stays finite.
 
 The same pass marks the graph's time-local prefix: the nodes fed only by
 a rank-3 input or by other prefix nodes whose op has a row rule in
-``ops.OPS`` (output row t reads only input rows t..t+halo). Evaluation
-runs the prefix in fixed blocks of ``_ROW_BLOCK`` output rows, each cut
-from the input with its halo, and the rest of the graph, the suffix,
-whole. A stream runs the same blocks as its patch fills.
+``ops.OPS`` (output row t reads only input rows t..t+halo). An
+``_Evaluation`` runs the prefix in fixed blocks of ``_ROW_BLOCK`` output
+rows, each cut from the input with its halo, then the suffix whole: all
+at once for ``forward_from``, block by block as a stream's patch fills.
 """
 
 from __future__ import annotations
@@ -191,22 +191,6 @@ def _needed(graph: ModelGraph, target: str, given=()) -> set[str]:
     return needed
 
 
-def _split(graph: ModelGraph, target: str, given) -> tuple[list, list, list]:
-    """The steps that evaluate ``target`` from the names in ``given``.
-
-    Returns the prefix steps, the suffix steps and the names of the prefix
-    nodes whose rows the suffix or the caller reads.
-    """
-    needed = _needed(graph, target, given)
-    if graph.input_name in needed and graph.input_name not in given:
-        raise InputShapeMismatch(f"graph input {graph.input_name!r} was not provided")
-    steps = [s for s in graph._steps if s[0].name in needed and s[0].name not in given]
-    prefix = [s for s in steps if s[0].name in graph._halos]
-    suffix = [s for s in steps if s[0].name not in graph._halos]
-    read = {target}.union(*(node.inputs for node, _, _ in suffix))
-    return prefix, suffix, [node.name for node, _, _ in prefix if node.name in read]
-
-
 def _run(steps, memo: dict, weights: dict) -> None:
     """Run steps in order into ``memo``, checking that every activation is finite."""
     for node, apply, wts in steps:
@@ -217,22 +201,52 @@ def _run(steps, memo: dict, weights: dict) -> None:
         memo[node.name] = out
 
 
-def _prefix_block(graph: ModelGraph, steps, sources: dict, block, rows: dict) -> None:
-    """Run the prefix steps on one block and write its rows into ``rows``' buffers.
+class _Evaluation:
+    """Evaluates ``target`` from ``sources``, which map names to tensors read in place.
 
-    ``sources`` holds the input (and any seeded prefix node) whole; the block
-    reads input rows r0..end, so each prefix node gets its rows r0..end - halo.
-    A block keeps its first ``_ROW_BLOCK`` rows, the last block all of them.
+    Prefix blocks write the rows the suffix or the caller reads into buffers
+    kept across calls; the suffix runs whole once every block has run.
     """
-    r0, end = block
-    halos = graph._halos
-    memo = {name: value[r0:end - halos[name]] for name, value in sources.items()
-            if name in halos}
-    _run(steps, memo, graph.weights)
-    last = end == graph.input_shape[0]
-    for name, buf in rows.items():
-        part = memo[name] if last else memo[name][:_ROW_BLOCK]
-        buf[r0:r0 + len(part)] = part
+
+    def __init__(self, graph: ModelGraph, target: str, sources: dict):
+        needed = _needed(graph, target, sources)
+        if graph.input_name in needed and graph.input_name not in sources:
+            raise InputShapeMismatch(f"graph input {graph.input_name!r} was not provided")
+        steps = [s for s in graph._steps if s[0].name in needed and s[0].name not in sources]
+        self._graph, self._target, self._sources = graph, target, sources
+        self._prefix = [s for s in steps if s[0].name in graph._halos]
+        self._suffix = [s for s in steps if s[0].name not in graph._halos]
+        read = {target}.union(*(node.inputs for node, _, _ in self._suffix))
+        self._rows = {node.name: np.empty(graph.node_shapes[node.name], dtype=np.float32)
+                      for node, _, _ in self._prefix if node.name in read}
+        self._blocks = graph._blocks if self._prefix else ()
+        self._done = 0
+
+    def advance(self, held: int) -> None:
+        """Run every block not yet run whose input rows end at or before row ``held``.
+
+        A block reads input rows r0..end, so each prefix node gets its rows
+        r0..end - halo; it keeps its first ``_ROW_BLOCK`` rows, the last block all.
+        """
+        graph, halos = self._graph, self._graph._halos
+        while self._done < len(self._blocks) and self._blocks[self._done][1] <= held:
+            r0, end = self._blocks[self._done]
+            memo = {name: value[r0:end - halos[name]] for name, value in self._sources.items()
+                    if name in halos}
+            _run(self._prefix, memo, graph.weights)
+            last = end == graph.input_shape[0]
+            for name, buf in self._rows.items():
+                part = memo[name] if last else memo[name][:_ROW_BLOCK]
+                buf[r0:r0 + len(part)] = part
+            self._done += 1
+
+    def finish(self) -> np.ndarray:
+        """Run the blocks left and the suffix, rewind; the target returned may be a row buffer."""
+        self.advance(self._graph.input_shape[0])
+        self._done = 0
+        memo = {**self._sources, **self._rows}
+        _run(self._suffix, memo, self._graph.weights)
+        return memo[self._target]
 
 
 def forward_from(graph: ModelGraph, seeds: dict, until: str | None = None) -> np.ndarray:
@@ -256,15 +270,7 @@ def forward_from(graph: ModelGraph, seeds: dict, until: str | None = None) -> np
             raise InputShapeMismatch(
                 f"{key!r} expects shape {graph.node_shapes[key]}, got {arr.shape}")
         memo[key] = arr
-
-    prefix, suffix, kept = _split(graph, target, memo)
-    if prefix:
-        rows = {name: np.empty(graph.node_shapes[name], dtype=np.float32) for name in kept}
-        for block in graph._blocks:
-            _prefix_block(graph, prefix, memo, block, rows)
-        memo.update(rows)
-    _run(suffix, memo, graph.weights)
-    return memo[target]
+    return _Evaluation(graph, target, memo).finish()
 
 
 def forward(graph: ModelGraph, x, until: str | None = None) -> np.ndarray:

@@ -8,8 +8,8 @@ patches by mean (default) or max.
 
 This module is the one path from audio to per-patch outputs: ``predict``,
 ``embed_patches`` and the command line run their patches through
-:func:`run_patches`. The stream pipeline runs the same prefix blocks and
-suffix that ``forward`` runs (see ``graph``), the blocks as the patch fills.
+:func:`run_patches`. The stream pipeline runs the graph evaluation that
+``forward`` runs (see ``graph``) on the patch :func:`patch_to_input` views.
 """
 
 from __future__ import annotations

@@ -7,18 +7,19 @@ completes with the same strided view and the same kernel, in the same
 blocks, so values are bit-identical; trailing partial frames and patches
 are dropped at flush.
 
-With a model attached, the graph's time-local prefix runs while the
-patch fills. The prefix is the nodes, fed only by the rank-3 input or by
-each other, whose output row t reads only input rows t..t+halo: valid
-conv2d with time-stride 1 (halo kh - 1), max and mean pooling with pool
-and stride 1 in time, batch_norm, relu, elu, sigmoid, dropout, and a
-concat off axis 0 of inputs with equal halos. The push that completes a
-prefix block's input rows runs that block; the push that completes the
-patch runs only the last block and then the rest of the graph, seeded
-with the prefix rows. Offline ``forward`` runs the same blocks on the
-same rows with the same calls, so the outputs are equal by construction,
-whatever BLAS does with a block's row count. A model without a prefix
-runs whole on the patch-completing push.
+With a model attached, the patch is a float32 buffer viewed once as the
+model's input, and the graph's time-local prefix runs while it fills.
+The prefix is the nodes, fed only by the rank-3 input or by each other,
+whose output row t reads only input rows t..t+halo: valid conv2d with
+time-stride 1 (halo kh - 1), max and mean pooling with pool and stride 1
+in time, batch_norm, relu, elu, sigmoid, dropout, and a concat off axis
+0 of inputs with equal halos. The push that completes a prefix block's
+input rows runs that block; the push that completes the patch runs the
+blocks left and then the rest of the graph. Offline ``forward`` runs the
+same graph evaluation all at once, so the outputs are equal by
+construction, whatever BLAS does with a block's row count. A model
+without a prefix runs whole on the patch-completing push. A chunk with
+NaN or infinity raises ``UnsupportedFormat`` before any state changes.
 
 Between pushes the pipeline holds fewer than one frame of samples, fewer
 than one patch of mel rows and one patch of prefix rows, so memory stays
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import _MEL_BLOCK, MelConfig, _frame_view, _front_end, _mel_frame
-from .errors import AlreadyFlushed
-from .inference.graph import _prefix_block, _split, forward_from
+from .errors import AlreadyFlushed, UnsupportedFormat
+from .inference.graph import _Evaluation
 from .inference.prediction import patch_to_input
 
 
@@ -84,19 +85,13 @@ class StreamPipeline:
         # Samples of the next frame and rows of the next patch, each with its fill count.
         self._tail = np.zeros(config.frame_size)
         self._tail_held = 0
-        self._patch = None
         self._patch_held = 0
         if model is not None:
-            # A model that cannot take a (patch_frames, n_mels) patch fails here, not at
-            # the first patch.
-            patch_to_input(np.zeros((model.patch_frames, config.n_mels)), model)
-            self._patch = np.zeros((model.patch_frames, config.n_mels))
-            # The prefix steps, their rows for the current patch and the blocks run so far.
-            self._prefix, _, kept = _split(model, model.output_name, {model.input_name})
-            self._rows = {name: np.empty(model.node_shapes[name], dtype=np.float32)
-                          for name in kept}
-            self._blocks = model._blocks if self._prefix else ()
-            self._blocks_done = 0
+            # The held patch, viewed once as the model's input; a model that cannot take a
+            # (patch_frames, n_mels) patch fails here, not at the first patch.
+            self._patch = np.zeros((model.patch_frames, config.n_mels), dtype=np.float32)
+            self._eval = _Evaluation(model, model.output_name,
+                                     {model.input_name: patch_to_input(self._patch, model)})
         self._flushed = False
         self._pushes, self._push_total, self._push_min, self._push_max = 0, 0.0, float("inf"), 0.0
         self.frames_emitted = 0
@@ -104,24 +99,17 @@ class StreamPipeline:
 
     def _patches(self, rows: np.ndarray) -> list:
         """Append mel rows to the held patch; run each prefix block and patch that fills."""
-        outputs, patch, model, blocks = [], self._patch, self.model, self._blocks
+        outputs, patch = [], self._patch
         while len(rows):
             take = min(len(patch) - self._patch_held, len(rows))
             patch[self._patch_held:self._patch_held + take] = rows[:take]
             rows, self._patch_held = rows[take:], self._patch_held + take
-            ready = self._blocks_done
-            while ready < len(blocks) and blocks[ready][1] <= self._patch_held:
-                ready += 1
-            if ready == self._blocks_done and self._patch_held < len(patch):
-                continue
-            x = {model.input_name: patch_to_input(patch, model)}
-            for block in blocks[self._blocks_done:ready]:
-                _prefix_block(model, self._prefix, x, block, self._rows)
-            self._blocks_done = ready
-            if self._patch_held == len(patch):
+            if self._patch_held < len(patch):
+                self._eval.advance(self._patch_held)
+            else:
                 # flatten copies: the output may be a row buffer the next patch overwrites.
-                outputs.append(forward_from(model, {**x, **self._rows}).flatten())
-                self._patch_held = self._blocks_done = 0
+                outputs.append(self._eval.finish().flatten())
+                self._patch_held = 0
         self.patches_emitted += len(outputs)
         return outputs
 
@@ -131,6 +119,9 @@ class StreamPipeline:
             raise AlreadyFlushed("push after flush")
         cfg = self.config
         chunk = np.asarray(chunk, dtype=np.float64).ravel()
+        # count_nonzero takes ~1.2 µs on a 256-sample chunk, .all() ~2 µs.
+        if np.count_nonzero(np.isfinite(chunk)) < chunk.size:
+            raise UnsupportedFormat("stream chunk contains non-finite samples")
         start = time.perf_counter()
         x = np.concatenate((self._tail[:self._tail_held], chunk))
         segments = _frame_view(x, cfg.frame_size, cfg.hop_size)

@@ -176,6 +176,17 @@ class TestMelspec:
         assert code == 2, err
         assert "sample rate 1 Hz" in err
 
+    @pytest.mark.parametrize("flags, what", [
+        (("--n-mels", "6", "--fft-size", "131072"), "fft_size"),
+        (("--n-mels", "256", "--fft-size", "65536"), "filterbank"),
+        (("--n-mels", "254201"), "filterbank"),
+    ], ids=["fft-size", "filterbank-wide", "filterbank-tall"])
+    def test_front_end_above_its_bounds_exits_3(self, capsys, tone_wav, flags, what):
+        code, _, err = run(capsys, "melspec", tone_wav, "--frame-size", "64",
+                           "--hop-size", "32", *flags)
+        assert code == 3, err
+        assert what in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "melspec", str(tmp_path / "nope.wav"),
                          "--preset", "musicnn-96")
@@ -282,6 +293,21 @@ class TestPredict:
                          "--weights", weights)
         assert code == 5
 
+    @pytest.mark.parametrize("where, value", [(0, np.nan), (1950, np.nan), (700, np.inf)],
+                             ids=["nan-first", "nan-in-tail", "inf"])
+    def test_stream_non_finite_sample_exits_2(self, capsys, monkeypatch, tiny_model,
+                                              where, value):
+        # 2000 samples make 61 frames: 15 whole 4-frame patches, then frame 60 (samples
+        # 1920..1983) in a partial patch that is dropped at flush.
+        _, manifest, weights = tiny_model
+        x = tone(800.0, 0.25, 8000).astype("<f4")
+        x[where] = value
+        monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(x.tobytes())})())
+        code, _, err = run(capsys, "predict", "--stream", "--model", manifest,
+                           "--weights", weights)
+        assert code == 2, err
+        assert "non-finite" in err
+
     def test_no_audio_no_stream(self, capsys, tiny_model):
         _, manifest, weights = tiny_model
         code, _, _ = run(capsys, "predict", "--model", manifest, "--weights", weights)
@@ -315,6 +341,21 @@ class TestPredict:
         code, _, err = run(capsys, "predict", tone_wav, "--model", manifest,
                            "--weights", weights)
         assert code == 4, err
+
+    @pytest.mark.parametrize("old, new, what", [
+        ("feature_config.fft_size 64", "feature_config.fft_size 131072", "fft_size"),
+        ("feature_config.n_mels 6", "feature_config.n_mels 254201", "filterbank"),
+    ], ids=["fft-size", "filterbank"])
+    def test_front_end_above_its_bounds_exits_4(self, capsys, tone_wav, tiny_model,
+                                                old, new, what):
+        _, manifest, weights = tiny_model
+        text = Path(manifest).read_text(encoding="utf-8")
+        assert old in text
+        Path(manifest).write_text(text.replace(old, new), encoding="utf-8")
+        code, _, err = run(capsys, "predict", tone_wav, "--model", manifest,
+                           "--weights", weights)
+        assert code == 4, err
+        assert what in err
 
     def test_f_max_above_model_nyquist_exits_4(self, capsys, tone_wav, tiny_model):
         # CFG's f_max is 4000, the tiny model's Nyquist; at 7000 Hz the model cannot run.

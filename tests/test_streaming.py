@@ -11,10 +11,10 @@ import melstream as ms
 import melstream.inference.graph as graph_module
 import melstream.streaming
 from melstream.dsp import _MEL_BLOCK
-from melstream.errors import AlreadyFlushed, InputShapeMismatch
+from melstream.errors import AlreadyFlushed, InputShapeMismatch, UnsupportedFormat
 from melstream.inference.prediction import run_patches
 
-from util import VALID_CNN_RATE, linear_classifier, valid_cnn
+from util import VALID_CNN_CONFIG, VALID_CNN_RATE, linear_classifier, valid_cnn
 
 
 def stream_all(pipe, signal, chunks):
@@ -231,7 +231,7 @@ class TestPrefixStreaming:
         sizes = []
         for i in range(0, x.size, 97):
             pipe.push(x[i:i + 97])
-            sizes.append((pipe._patch.shape, {k: v.shape for k, v in pipe._rows.items()}))
+            sizes.append((pipe._patch.shape, {k: v.shape for k, v in pipe._eval._rows.items()}))
         assert pipe.patches_emitted == 6
         assert all(size == ((40, 24), {"front": (34, 1, 18)}) for size in sizes)
 
@@ -263,6 +263,62 @@ class TestPrefixStreaming:
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["equal"]
+
+
+@pytest.mark.parametrize("shape", [(40, 24), (40, 24, 1), (960,)], ids=["rank-2", "rank-3",
+                                                                      "rank-1"])
+@pytest.mark.parametrize("chunk", [7, 333])
+def test_every_input_layout_matches_run_patches(shape, chunk):
+    # The stream writes rows into its patch and the model reads the view patch_to_input
+    # took once; a copy there would leave the model a stale input. At rank 3 the relu
+    # is a prefix node, so the input is also read in blocks as the patch fills.
+    graph = ms.build_graph(
+        input_name="in", input_shape=shape, output_name="logits", embedding_name="flat",
+        nodes=[ms.Node("act", "relu", ("in",), {}), ms.Node("flat", "flatten", ("act",), {}),
+               ms.Node("logits", "dense", ("flat",), {"weight": "w"})],
+        weights={"w": np.random.default_rng(41).normal(size=(960, 3)).astype(np.float32)},
+        labels=(), patch_frames=40, feature_config=VALID_CNN_CONFIG, sample_rate=VALID_CNN_RATE)
+    x = _valid_cnn_signal()
+    mel = ms.mel_spectrogram(ms.AudioBuffer(x, VALID_CNN_RATE), graph.feature_config)
+    offline = run_patches(graph, ms.tile_patches(mel.frames, graph.patch_frames))
+    _, patches = stream_all(ms.StreamPipeline(model=graph), x, [chunk] * -(-x.size // chunk))
+    assert patches.shape == (3, 3)
+    assert np.array_equal(patches, offline)
+
+
+class TestNonFinite:
+    """A chunk holding NaN or infinity is refused whole, before any state changes."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_without_a_model(self, bad):
+        cfg = ms.MelConfig(frame_size=64, hop_size=32, n_mels=6, f_max=4000.0)
+        x = np.random.default_rng(31).uniform(-1, 1, 700)
+        offline = ms.mel_spectrogram(ms.AudioBuffer(x, 8000), cfg).frames
+        pipe = ms.StreamPipeline(config=cfg, sample_rate=8000)
+        first = pipe.push(x[:300]).frames
+        poisoned = x[300:].copy()
+        poisoned[50] = bad
+        with pytest.raises(UnsupportedFormat, match="non-finite"):
+            pipe.push(poisoned)
+        rest, _ = stream_all(pipe, x[300:], [400])
+        assert np.array_equal(np.concatenate((first, rest)), offline)
+        assert pipe.latency_report().per_chunk_wall_time["chunks"] == 2
+
+    def test_with_a_model(self):
+        graph = valid_cnn()
+        x = _valid_cnn_signal()
+        offline = ms.predict(graph, ms.AudioBuffer(x, VALID_CNN_RATE)).per_patch
+        pipe = ms.StreamPipeline(model=graph)
+        outputs = []
+        # Mid first patch, across the next two patches, and in the trailing partial patch.
+        for a, b in ((0, 1500), (1500, x.size - 300), (x.size - 300, x.size)):
+            poisoned = x[a:b].copy()
+            poisoned[-1] = np.nan
+            with pytest.raises(UnsupportedFormat):
+                pipe.push(poisoned)
+            outputs.append(pipe.push(x[a:b]).patch_outputs)
+        assert np.array_equal(np.concatenate([o for o in outputs if o.size]), offline)
+        assert pipe.patches_emitted == 3
 
 
 class TestLatency:
