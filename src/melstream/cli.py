@@ -9,7 +9,8 @@ Exit codes:
   1  unexpected internal failure
   2  audio decoding or file I/O problem
   3  invalid configuration or flag combination
-  4  model manifest or weights failed to load
+  4  model manifest or weights failed to load, or the model's input
+     cannot take its own patch
   5  track shorter than the analysis window allows
   6  training failure
   7  evaluation or dataset failure
@@ -31,8 +32,8 @@ from .audio_io import load_pcm
 from .dsp import (_CHOICES, PRESET_SAMPLE_RATE, PRESETS, MelConfig, _field_type,
                   mel_spectrogram, preset)
 from .errors import (AudioIOError, ConfigError, DegenerateDataset, EvalError,
-                     MelstreamError, ModelLoadError, SignalTooShort,
-                     TrackTooShort, TrainingError)
+                     InputShapeMismatch, MelstreamError, ModelLoadError,
+                     SignalTooShort, TrackTooShort, TrainingError)
 from .evaluation import (cross_collection_eval, crossval_run, load_dataset,
                          load_taxonomy)
 from .inference.model_io import encode_weights, load_model, save_model
@@ -109,7 +110,7 @@ def _resolve_seed(text: str) -> int:
         raise ConfigError(f"--seed must be an integer or 'random', got {text!r}") from None
 
 
-def _reproducibility(seed: int, params: dict) -> dict:
+def _reproducibility(seed: int | None, params: dict) -> dict:
     blob = json.dumps(_jsonable(params), sort_keys=True, default=str).encode()
     return {"seed": seed, "config_hash": hashlib.sha256(blob).hexdigest()[:12],
             "version": __version__}
@@ -283,7 +284,6 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_cross_eval(args) -> int:
-    seed = _resolve_seed(args.seed)
     graph = load_model(args.model, args.weights)
     if not graph.labels:
         raise ConfigError("model has no labels; cross-collection scoring needs a classifier")
@@ -301,7 +301,7 @@ def cmd_cross_eval(args) -> int:
         "per_class_recall": report.per_class_recall,
         "n_evaluated": report.n_evaluated,
         "n_discarded": report.n_discarded,
-        "reproducibility": _reproducibility(seed, {
+        "reproducibility": _reproducibility(None, {
             "command": "cross-eval", "dataset": args.dataset, "model": args.model,
             "taxonomy": args.taxonomy, "aggregation": args.aggregation}),
     }
@@ -427,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="external CSV manifest (multi-label)")
     p.add_argument("--taxonomy", required=True, help="TSV tag hierarchy")
     p.add_argument("--aggregation", choices=("mean", "max"), default="mean")
-    p.add_argument("--seed", default="42", help="integer or 'random'")
     p.add_argument("--output")
     p.set_defaults(func=cmd_cross_eval)
 
@@ -451,7 +450,7 @@ def main(argv=None) -> int:
         return _fail(2, e)
     except ConfigError as e:
         return _fail(3, e)
-    except ModelLoadError as e:
+    except (ModelLoadError, InputShapeMismatch) as e:
         return _fail(4, e)
     except TrainingError as e:
         return _fail(6, e)

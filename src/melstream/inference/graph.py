@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..audio_io import _MAX_RATE
 from ..dsp import MelConfig
 from ..errors import (CyclicGraph, InputShapeMismatch, ManifestError, MissingWeight,
                       NonFiniteActivation, ShapeMismatch, UnknownNode)
@@ -100,8 +101,9 @@ def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
         raise ManifestError(f"input shape must be positive, got {input_shape}")
     if patch_frames < 1:
         raise ManifestError(f"patch_frames must be >= 1, got {patch_frames}")
-    if sample_rate <= 0:
-        raise ManifestError(f"sample_rate must be positive, got {sample_rate}")
+    if not 0 < sample_rate <= _MAX_RATE:
+        raise ManifestError(f"sample_rate must lie in 1..{_MAX_RATE} (the highest rate the "
+                            f"resampler reaches), got {sample_rate}")
     if not all(isinstance(label, str) and _LABEL_RE.fullmatch(label) for label in labels):
         raise ManifestError(f"labels must be non-empty, without ';', line breaks or outer "
                             f"spaces, got {labels!r}")

@@ -1,15 +1,16 @@
 """Classifier heads trained on frozen-backbone embeddings.
 
-Heads come in two shapes: variant A is a single softmax layer over the
-embedding; variant B inserts a relu hidden layer (100 units by default)
-before the softmax. Training follows a fixed protocol: a stratified
-track-level 80/20 train/validation split, mini-batches of 32 distinct
-tracks with one randomly drawn patch embedding per track, cross-entropy
-loss, Adam, and a halving of the learning rate whenever the best
-validation loss is 75 epochs stale (the staleness anchor resets after
-each halving). The returned weights are those of the epoch with the
-lowest validation loss. Identical inputs and seed give bit-identical
-results.
+A head is a list of dense ``(W, b)`` layers with a relu between
+consecutive layers and a softmax on the last; that list is its only
+structure. Variant A is one layer over the embedding; variant B puts a
+hidden layer (100 units by default) before it. Training follows a fixed
+protocol: a stratified track-level 80/20 train/validation split,
+mini-batches of 32 distinct tracks with one randomly drawn patch
+embedding per track, cross-entropy loss, Adam, and a halving of the
+learning rate whenever the best validation loss is 75 epochs stale
+(the staleness anchor resets after each halving). The returned weights
+are those of the epoch with the lowest validation loss. Identical inputs
+and seed give bit-identical results.
 
 Head arithmetic runs in float64; :func:`export_head` casts the trained
 layers to float32 once when stitching them onto the backbone, so the
@@ -28,7 +29,7 @@ from .errors import (DegenerateDataset, DimMismatch, MelstreamError,
                      NonFiniteGradient, NonFiniteLoss)
 from .inference.graph import ModelGraph, Node, _needed, build_graph
 from .inference.ops import weight_param_names
-from .inference.prediction import embed_patches
+from .inference.prediction import embed_patches, patch_to_input
 
 VARIANTS = ("A", "B")
 
@@ -120,8 +121,11 @@ def extract_embeddings(graph: ModelGraph, dataset, pad_short: bool = True) -> Em
     """Embeddings for every track of a dataset manifest.
 
     Per-track failures (unreadable files, tracks too short with padding
-    off) are collected in ``skipped`` rather than raised.
+    off) are collected in ``skipped`` rather than raised. A graph whose
+    input cannot take its own patch fails every track, so it raises
+    ``InputShapeMismatch`` before the first one.
     """
+    patch_to_input(np.zeros((graph.patch_frames, graph.feature_config.n_mels)), graph)
     dim = math.prod(graph.node_shapes[graph.embedding_name])
     table = EmbeddingTable(rows={}, dim=dim, source_layer=graph.embedding_name)
     for entry in dataset.entries:
@@ -161,11 +165,10 @@ def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
 
 
 def init_head(spec: HeadSpec, input_dim: int, rng: np.random.Generator):
-    """Glorot-uniform weights, zero biases, float64."""
-    if spec.variant == "A":
-        return [(_glorot_uniform(rng, input_dim, spec.n_classes), np.zeros(spec.n_classes))]
-    return [(_glorot_uniform(rng, input_dim, spec.hidden), np.zeros(spec.hidden)),
-            (_glorot_uniform(rng, spec.hidden, spec.n_classes), np.zeros(spec.n_classes))]
+    """Glorot-uniform weights, zero biases, float64, drawn first layer first."""
+    dims = [input_dim] + ([spec.hidden] if spec.variant == "B" else []) + [spec.n_classes]
+    return [(_glorot_uniform(rng, fan_in, fan_out), np.zeros(fan_out))
+            for fan_in, fan_out in zip(dims, dims[1:])]
 
 
 def _softmax64(z: np.ndarray) -> np.ndarray:
@@ -173,54 +176,47 @@ def _softmax64(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def head_logits(layers, x: np.ndarray, variant: str) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if variant == "A":
-        w, b = layers[0]
-        return x @ w + b
-    (w1, b1), (w2, b2) = layers
-    hidden = np.maximum(x @ w1 + b1, 0.0)
-    return hidden @ w2 + b2
+def _activations(layers, x) -> list[np.ndarray]:
+    """Each layer's input: ``x`` as a float64 batch, then each hidden relu output."""
+    acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return acts
 
 
-def head_probs(weights_or_layers, x, variant: str | None = None) -> np.ndarray:
+def head_logits(layers, x: np.ndarray) -> np.ndarray:
+    w, b = layers[-1]
+    return _activations(layers, x)[-1] @ w + b
+
+
+def head_probs(layers, x) -> np.ndarray:
     """Softmax class probabilities for one embedding or a (n, dim) batch."""
-    if isinstance(weights_or_layers, HeadWeights):
-        layers, variant = weights_or_layers.layers, weights_or_layers.variant
-    else:
-        layers = weights_or_layers
-        if variant is None:
-            raise ValueError("variant required when passing raw layers")
-    return _softmax64(head_logits(layers, x, variant))
+    return _softmax64(head_logits(layers, x))
 
 
-def head_loss_and_grads(layers, x: np.ndarray, y: np.ndarray, variant: str):
+def head_loss_and_grads(layers, x: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over a batch plus analytic gradients.
 
     ``x`` is (n, dim) float64, ``y`` an int class index per row. Gradients
-    come back as a flat list matching [W1, b1, (W2, b2)].
+    come back as a flat list matching [W1, b1, W2, b2, ...].
     """
-    x = np.asarray(x, dtype=np.float64)
+    acts = _activations(layers, x)
     y = np.asarray(y)
-    n = x.shape[0]
-    # Variant B puts a relu layer in front; the softmax layer sees its output.
-    top = x
-    if variant == "B":
-        w1, b1 = layers[0]
-        pre = x @ w1 + b1
-        top = np.maximum(pre, 0.0)
+    n = acts[0].shape[0]
     w, b = layers[-1]
-    probs = _softmax64(top @ w + b)
+    probs = _softmax64(acts[-1] @ w + b)
     loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-    d_logits = probs.copy()
-    d_logits[np.arange(n), y] -= 1.0
-    d_logits /= n
-    grads = [top.T @ d_logits, d_logits.sum(axis=0)]
-    if variant == "A":
-        return loss, grads
-    d_hidden = d_logits @ w.T
-    d_hidden[pre <= 0.0] = 0.0
-    return loss, [x.T @ d_hidden, d_hidden.sum(axis=0)] + grads
+    d = probs.copy()
+    d[np.arange(n), y] -= 1.0
+    d /= n
+    grads: list[np.ndarray] = []
+    for i in range(len(layers) - 1, -1, -1):
+        grads = [acts[i].T @ d, d.sum(axis=0)] + grads
+        if i:
+            # Back through the relu in front of layer i: it passed only positive entries.
+            d = d @ layers[i][0].T
+            d[acts[i] <= 0.0] = 0.0
+    return loss, grads
 
 
 def _flatten_layers(layers):
@@ -255,11 +251,11 @@ def _stack_tracks(table: EmbeddingTable, track_ids):
     return np.concatenate([table.rows[t] for t in track_ids]).astype(np.float64), starts, counts
 
 
-def _val_loss(layers, variant, rows, starts, counts, y) -> float:
+def _val_loss(layers, rows, starts, counts, y) -> float:
     # Each track weighs equally: mean cross-entropy over its patches first. Tracks
     # with n patches are averaged as the rows of one (tracks, n) matrix, which sums
     # in the order a per-track mean does (np.add.reduceat does not).
-    probs = head_probs(layers, rows, variant)
+    probs = head_probs(layers, rows)
     nll = -np.log(np.maximum(probs[np.arange(rows.shape[0]), np.repeat(y, counts)], 1e-300))
     per_track = np.empty(counts.size)
     for n in np.unique(counts):
@@ -290,18 +286,12 @@ def train_head(table: EmbeddingTable, labels: dict[str, str], spec: HeadSpec,
 
     rng = np.random.default_rng(train.seed)
     train_ids, val_ids = _stratified_split(labels, classes, train.val_fraction, rng)
-    layers = init_head(spec, table.dim, rng)
-
-    if train.max_epochs == 0:
-        return HeadWeights(layers=layers, classes=classes, variant=spec.variant,
-                           input_dim=table.dim, training_log=[], best_epoch=0,
-                           train_tracks=tuple(train_ids), val_tracks=tuple(val_ids))
+    params = _flatten_layers(init_head(spec, table.dim, rng))
 
     train_rows, train_starts, train_counts = _stack_tracks(table, train_ids)
     val_rows, val_starts, val_counts = _stack_tracks(table, val_ids)
     y_train = np.array([class_index[labels[t]] for t in train_ids])
     y_val = np.array([class_index[labels[t]] for t in val_ids])
-    params = _flatten_layers(layers)
     state = AdamState.zeros_like(params)
     lr = train.initial_lr
     best_loss = math.inf
@@ -318,16 +308,14 @@ def train_head(table: EmbeddingTable, labels: dict[str, str], spec: HeadSpec,
             chunk = order[b * train.batch_size:(b + 1) * train.batch_size]
             # One patch per track; an array of bounds draws what one call per row would.
             xs = train_rows[train_starts[chunk] + rng.integers(train_counts[chunk])]
-            loss, grads = head_loss_and_grads(_unflatten_layers(params), xs, y_train[chunk],
-                                              spec.variant)
+            loss, grads = head_loss_and_grads(_unflatten_layers(params), xs, y_train[chunk])
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"training loss became {loss} at epoch {epoch}")
             params, state = adam_step(params, grads, state, lr, beta1=train.beta1,
                                       beta2=train.beta2, epsilon=train.epsilon)
             batch_losses.append(loss)
 
-        layers = _unflatten_layers(params)
-        val = _val_loss(layers, spec.variant, val_rows, val_starts, val_counts, y_val)
+        val = _val_loss(_unflatten_layers(params), val_rows, val_starts, val_counts, y_val)
         if not math.isfinite(val):
             raise NonFiniteLoss(f"validation loss became {val} at epoch {epoch}")
         log.append({"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
@@ -351,7 +339,7 @@ def classify_tracks(weights: HeadWeights, table: EmbeddingTable, track_ids) -> d
     """Track-level class by mean of per-patch probabilities."""
     out = {}
     for track in track_ids:
-        probs = head_probs(weights, table.rows[track]).mean(axis=0)
+        probs = head_probs(weights.layers, table.rows[track]).mean(axis=0)
         out[track] = weights.classes[int(np.argmax(probs))]
     return out
 
@@ -398,6 +386,10 @@ def export_head(weights: HeadWeights, backbone: ModelGraph) -> ModelGraph:
 
     names = ["head_dense"] if weights.variant == "A" else ["head_hidden", "head_out"]
     for i, ((w, b), base) in enumerate(zip(weights.layers, names)):
+        if i:
+            relu = _fresh_name("head_relu", taken)
+            nodes.append(Node(name=relu, op="relu", inputs=(prev,), params={}))
+            prev = relu
         wname = _fresh_name(f"{base}_w", taken)
         bname = _fresh_name(f"{base}_b", taken)
         new_weights[wname] = w.astype(np.float32)
@@ -406,10 +398,6 @@ def export_head(weights: HeadWeights, backbone: ModelGraph) -> ModelGraph:
         nodes.append(Node(name=dense, op="dense", inputs=(prev,),
                           params={"weight": wname, "bias": bname}))
         prev = dense
-        if weights.variant == "B" and i == 0:
-            relu = _fresh_name("head_relu", taken)
-            nodes.append(Node(name=relu, op="relu", inputs=(prev,), params={}))
-            prev = relu
     out = _fresh_name("head_softmax", taken)
     nodes.append(Node(name=out, op="softmax", inputs=(prev,), params={}))
 

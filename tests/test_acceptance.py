@@ -233,11 +233,11 @@ def test_c04_gradient_check(capsys):
         layers = init_head(spec, dim, rng)
         x = rng.normal(size=(batch, dim))
         y = rng.integers(0, n_classes, size=batch)
-        _, grads = head_loss_and_grads(layers, x, y, variant)
+        _, grads = head_loss_and_grads(layers, x, y)
 
         def loss_fn(flat):
             pairs = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
-            return head_loss_and_grads(pairs, x, y, variant)[0]
+            return head_loss_and_grads(pairs, x, y)[0]
 
         flat = [a for pair in layers for a in pair]
         numeric = oracles.central_diff_grads(loss_fn, flat, h=1e-4)

@@ -441,6 +441,47 @@ class TestEmbed:
         assert np.array_equal(stored["embeddings"], ms.embed_patches(graph, buf))
 
 
+class TestModelErrors:
+    """A model that loads but cannot run its own patches fails as a model error (exit 4)."""
+
+    @pytest.mark.parametrize("command", ["predict", "predict-stream", "embed", "train-head",
+                                         "crossval"])
+    def test_input_that_cannot_take_its_patch_exits_4(self, capsys, monkeypatch, tiny_model,
+                                                      tiny_dataset, tone_wav, tmp_path,
+                                                      command):
+        # The 4-frame input cannot take a 3-frame patch.
+        _, manifest, weights = tiny_model
+        path = Path(manifest)
+        text = path.read_text()
+        assert "patch_frames 4\n" in text
+        path.write_text(text.replace("patch_frames 4\n", "patch_frames 3\n"))
+        model = ("--model", manifest, "--weights", weights)
+        argv = {
+            "predict": ("predict", tone_wav, *model),
+            "predict-stream": ("predict", "--stream", *model),
+            "embed": ("embed", tone_wav, *model),
+            "train-head": ("train-head", *model, "--dataset", tiny_dataset,
+                           "--max-epochs", "1", "--output", str(tmp_path / "h.txt"),
+                           "--output-weights", str(tmp_path / "h.bin")),
+            "crossval": ("crossval", *model, "--dataset", tiny_dataset, "--folds", "2",
+                         "--max-epochs", "1"),
+        }[command]
+        raw = tone(800.0, 0.25, 8000).astype("<f4").tobytes()
+        monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(raw)})())
+        code, _, err = run(capsys, *argv)
+        assert code == 4, err
+        assert "cannot feed graph input" in err
+
+    def test_rate_above_the_resampler_exits_4(self, capsys, tone_wav, tiny_model):
+        _, manifest, weights = tiny_model
+        path = Path(manifest)
+        path.write_text(path.read_text().replace("sample_rate 8000", "sample_rate 500000"))
+        code, _, err = run(capsys, "predict", tone_wav, "--model", manifest,
+                           "--weights", weights)
+        assert code == 4, err
+        assert "sample_rate" in err
+
+
 class TestTrainHead:
     def test_train_and_reload(self, capsys, tiny_model, tiny_dataset, tmp_path):
         _, manifest, weights = tiny_model
@@ -578,6 +619,20 @@ class TestCrossEval:
         assert payload["per_class_recall"] == {"rock": 1.0, "electronic": 0.0}
         assert payload["balanced_accuracy"] == 0.5
         assert payload["confusion"] == {"rock": {"rock": 1}, "electronic": {"rock": 1}}
+
+    def test_no_seed(self, capsys, tmp_path):
+        # Scoring draws no random numbers, so there is no seed to set or report.
+        manifest, weights = self._constant_model(tmp_path)
+        wav = tmp_path / "x.wav"
+        write_tone_wav(wav, 700.0, 1.0, sr=8000)
+        csv_path = tmp_path / "ext.csv"
+        dataset_csv(csv_path, [("e1", str(wav), ("techno",))])
+        args = ("cross-eval", "--model", manifest, "--weights", weights,
+                "--dataset", str(csv_path), "--taxonomy", self._taxonomy(tmp_path))
+        assert run_json(capsys, *args)["reproducibility"]["seed"] is None
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--seed", "1"])
+        assert exc.value.code == 3
 
     def test_unlabeled_model_exits_3(self, capsys, tmp_path):
         nodes = [ms.Node("flat", "flatten", ("in",), {})]

@@ -300,6 +300,15 @@ class TestGraphValidation:
                            embedding_name="a", nodes=nodes, weights={}, labels=(),
                            patch_frames=4, feature_config=CFG, sample_rate=7999)
 
+    def test_rate_above_the_resampler(self):
+        # The resampler stops at 384 kHz; a model at a higher rate could take no WAV.
+        args = dict(input_name="in", input_shape=(4,), output_name="a", embedding_name="a",
+                    nodes=[ms.Node("a", "relu", ("in",), {})], weights={}, labels=(),
+                    patch_frames=4, feature_config=CFG)
+        assert ms.build_graph(**args, sample_rate=384000).sample_rate == 384000
+        with pytest.raises(ManifestError, match="sample_rate"):
+            ms.build_graph(**args, sample_rate=384001)
+
     @pytest.mark.parametrize("labels", [("a;b", "c"), ("", "c"), (" a", "c"), ("a\nb", "c")],
                              ids=["semicolon", "empty", "outer-space", "line-break"])
     def test_labels_must_survive_the_manifest(self, labels):

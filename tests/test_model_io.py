@@ -424,7 +424,9 @@ class TestEveryGraphReloads:
         ("output n\n", "output n\ninput in 6,5,2\n"),
         ("feature_config.window hann\n", "feature_config.window hann\n" * 2),
         ("epsilon=0.001234567891", "epsilon=0.5 epsilon=0.001234567891"),
-    ], ids=["float-nan", "second-input", "repeated-feature-config", "repeated-param"])
+        ("sample_rate 16000", "sample_rate 500000"),
+    ], ids=["float-nan", "second-input", "repeated-feature-config", "repeated-param",
+            "rate-above-resampler"])
     def test_manifest_rejected_at_load(self, tmp_path, old, new):
         ms.save_model(_off_default_graph("batch_norm"), tmp_path / "m.txt", tmp_path / "m.bin")
         text = (tmp_path / "m.txt").read_text()

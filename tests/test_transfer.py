@@ -1,5 +1,6 @@
 """Head training on frozen embeddings: optimizer, protocol, export."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,8 +9,8 @@ import pytest
 
 import melstream as ms
 from melstream import transfer
-from melstream.errors import (DegenerateDataset, DimMismatch, NonFiniteGradient,
-                              NonFiniteLoss)
+from melstream.errors import (DegenerateDataset, DimMismatch, InputShapeMismatch,
+                              NonFiniteGradient, NonFiniteLoss)
 from melstream.evaluation import DatasetEntry
 from melstream.transfer import (head_loss_and_grads, head_probs, init_head,
                                 train_head)
@@ -131,11 +132,9 @@ class TestHeadMath:
     def test_probs_rows_sum_to_one(self):
         layers = init_head(ms.HeadSpec("B", 3), 6, np.random.default_rng(2))
         x = np.random.default_rng(3).normal(size=(5, 6))
-        probs = head_probs(layers, x, "B")
+        probs = head_probs(layers, x)
         assert probs.shape == (5, 3)
         assert np.allclose(probs.sum(axis=1), 1.0)
-        with pytest.raises(ValueError):
-            head_probs(layers, x)
 
     @pytest.mark.parametrize("variant", ["A", "B"])
     def test_gradients_match_central_differences(self, variant):
@@ -144,11 +143,11 @@ class TestHeadMath:
         layers = init_head(spec, 4, rng)
         x = rng.normal(size=(6, 4))
         y = rng.integers(0, 3, size=6)
-        loss, grads = head_loss_and_grads(layers, x, y, variant)
+        loss, grads = head_loss_and_grads(layers, x, y)
 
         def loss_fn(flat):
             pairs = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
-            return head_loss_and_grads(pairs, x, y, variant)[0]
+            return head_loss_and_grads(pairs, x, y)[0]
 
         flat = [a for pair in layers for a in pair]
         numeric = oracles.central_diff_grads(loss_fn, flat)
@@ -160,7 +159,7 @@ class TestHeadMath:
         layers = [(np.zeros((2, 2)), np.array([math.log(3.0), 0.0]))]
         x = np.zeros((2, 2))
         y = np.array([0, 1])
-        loss, _ = head_loss_and_grads(layers, x, y, "A")
+        loss, _ = head_loss_and_grads(layers, x, y)
         # probs are (0.75, 0.25) per row
         expect = -(math.log(0.75) + math.log(0.25)) / 2.0
         assert abs(loss - expect) < 1e-12
@@ -210,11 +209,20 @@ class TestTrainHead:
 
     def test_max_epochs_zero_returns_init(self):
         table, labels = toy_table()
-        out = train_head(table, labels, ms.HeadSpec("A", 2), ms.TrainSpec(max_epochs=0))
-        assert out.training_log == []
-        assert out.best_epoch == 0
-        assert out.layers[0][0].shape == (8, 2)
-        assert np.all(out.layers[0][1] == 0)
+        tspec = ms.TrainSpec(max_epochs=0, seed=5)
+        for spec in (ms.HeadSpec("A", 2), ms.HeadSpec("B", 2, hidden=3)):
+            out = train_head(table, labels, spec, tspec)
+            assert out.training_log == []
+            assert out.best_epoch == 0
+            # Replay the draws train_head makes before its first epoch.
+            rng = np.random.default_rng(tspec.seed)
+            train_ids, val_ids = transfer._stratified_split(
+                labels, out.classes, tspec.val_fraction, rng)
+            assert (out.train_tracks, out.val_tracks) == (tuple(train_ids), tuple(val_ids))
+            expect = init_head(spec, table.dim, rng)
+            assert len(out.layers) == len(expect)
+            for (w, b), (ew, eb) in zip(out.layers, expect):
+                assert np.array_equal(w, ew) and np.array_equal(b, eb)
 
     def test_deterministic(self):
         table, labels = toy_table()
@@ -276,7 +284,7 @@ class TestTrainHead:
         class_index = {c: i for i, c in enumerate(out.classes)}
         per_track = []
         for track in out.val_tracks:
-            probs = head_probs(out.layers, table.rows[track], out.variant)
+            probs = head_probs(out.layers, table.rows[track])
             y = class_index[labels[track]]
             per_track.append(float(-np.log(np.maximum(probs[:, y], 1e-300)).mean()))
         best = min(e["val_loss"] for e in out.training_log)
@@ -334,7 +342,7 @@ class TestTrainHead:
             for variant in ("A", "B"):
                 layers = [(w, rng.normal(size=b.shape))
                           for w, b in init_head(ms.HeadSpec(variant, n_classes), dim, rng)]
-                got = transfer._val_loss(layers, variant, *transfer._stack_tracks(table, ids), y)
+                got = transfer._val_loss(layers, *transfer._stack_tracks(table, ids), y)
                 ref = oracles.ref_val_loss(layers, variant, [rows[t] for t in ids], y)
                 # Variant A with 2+ patches per track runs the same products as the loop.
                 # A 1-patch track's product took numpy's vector-matrix path there, and
@@ -351,8 +359,8 @@ class TestTrainHead:
             table.rows[track] = table.rows[track][:1 + i % 5]
         seen = []
         real = transfer.head_loss_and_grads
-        monkeypatch.setattr(transfer, "head_loss_and_grads", lambda layers, x, y, variant: (
-            seen.append((x, y)) or real(layers, x, y, variant)))
+        monkeypatch.setattr(transfer, "head_loss_and_grads", lambda layers, x, y: (
+            seen.append((x, y)) or real(layers, x, y)))
         spec, tspec = ms.HeadSpec("A", 3), ms.TrainSpec(max_epochs=3, batch_size=16, seed=seed)
         out = train_head(table, labels, spec, tspec)
         # Replay the draws train_head makes before its first epoch.
@@ -399,6 +407,15 @@ class TestExtractEmbeddings:
         assert table.rows["good"].shape[1] == table.dim == 48
         assert table.source_layer == "flat"
 
+    def test_input_that_cannot_take_its_patch_raises(self, tmp_path):
+        # Every track would fail alike, so the model fails before the first one.
+        wav = tmp_path / "good.wav"
+        write_tone_wav(wav, 440.0, 3.5)
+        backbone = dataclasses.replace(tiny_backbone(), patch_frames=3)
+        ds = ms.DatasetManifest(entries=[DatasetEntry("good", str(wav), ("x",))])
+        with pytest.raises(InputShapeMismatch, match="cannot feed graph input"):
+            ms.extract_embeddings(backbone, ds)
+
 
 class TestExportHead:
     def _train_tiny(self, variant, backbone, n_classes=2, seed=0):
@@ -423,7 +440,7 @@ class TestExportHead:
         emb = ms.forward(backbone, x, until=backbone.embedding_name).reshape(-1)
         # The composite runs the f32-cast head; compare against the f64
         # head applied to the same embedding.
-        expect = head_probs(weights, emb.astype(np.float64))[0]
+        expect = head_probs(weights.layers, emb.astype(np.float64))[0]
         got = ms.forward(composite, x)
         assert got.dtype == np.float32
         assert np.max(np.abs(got - expect)) < 1e-5
