@@ -40,6 +40,13 @@ _PASSBAND_FRACTION = 0.45
 _RESAMPLE_BLOCK = 4096
 
 
+def _rate(value, name: str) -> int:
+    """``value`` as an int if it is a positive integer value (44100.0 is one), else ValueError."""
+    if not (value > 0 and float(value).is_integer()):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AudioBuffer:
     """Mono signal plus its sample rate.
@@ -59,11 +66,10 @@ class AudioBuffer:
             raise EmptyAudio("buffer must hold a non-empty 1-D signal")
         if not np.all(np.isfinite(samples)):
             raise ValueError("buffer contains non-finite samples")
-        if int(self.sample_rate) <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = _rate(self.sample_rate, "sample_rate")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", rate)
         object.__setattr__(self, "clipped", int(self.clipped))
 
     def __len__(self) -> int:
@@ -159,8 +165,8 @@ def load_pcm(path, target_rate: int | None = None) -> AudioBuffer:
     hard-clipped; the count of clipped samples is reported on the
     returned buffer.
     """
-    if target_rate is not None and target_rate <= 0:
-        raise ValueError(f"target_rate must be positive, got {target_rate}")
+    if target_rate is not None:
+        target_rate = _rate(target_rate, "target_rate")
     data = Path(path).read_bytes()
     tag, channels, rate, bits, payload = _parse_wav(data)
     if not 1 <= channels <= _MAX_CHANNELS:
@@ -225,8 +231,7 @@ def _resample_sinc(x: np.ndarray, source: int, target: int) -> np.ndarray:
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Resample to ``target_rate``; identity when the rates already match."""
-    if target_rate <= 0:
-        raise ValueError(f"target_rate must be positive, got {target_rate}")
+    target_rate = _rate(target_rate, "target_rate")
     if target_rate == buf.sample_rate:
         return buf
     if max(buf.sample_rate, target_rate) > _MAX_RATE:

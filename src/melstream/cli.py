@@ -9,8 +9,8 @@ Exit codes:
   1  unexpected internal failure
   2  audio decoding or file I/O problem
   3  invalid configuration or flag combination
-  4  model manifest or weights failed to load, or the model's input
-     cannot take its own patch
+  4  model failed to load (a feature config above its rate's Nyquist or
+     with an empty mel filter too), or its input cannot take its patch
   5  track shorter than the analysis window allows
   6  training failure
   7  evaluation or dataset failure
@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .audio_io import load_pcm
 from .dsp import (_CHOICES, PRESET_SAMPLE_RATE, PRESETS, MelConfig, _field_type,
-                  mel_spectrogram, preset)
+                  frame_count, mel_spectrogram, preset)
 from .errors import (AudioIOError, ConfigError, DegenerateDataset, EvalError,
                      InputShapeMismatch, MelstreamError, ModelLoadError,
                      SignalTooShort, TrackTooShort, TrainingError)
@@ -140,15 +140,10 @@ def cmd_melspec(args) -> int:
     if args.stream:
         if args.chunk < 1:
             raise ConfigError(f"--chunk must be >= 1, got {args.chunk}")
+        frame_count(len(buf), config.frame_size, config.hop_size)  # too short: before any push
         pipe = StreamPipeline(config=config, sample_rate=buf.sample_rate)
-        collected = []
-        for start in range(0, len(buf), args.chunk):
-            collected.append(pipe.push(buf.samples[start:start + args.chunk]).frames)
-        collected.append(pipe.flush().frames)
-        frames = np.concatenate(collected) if collected else np.empty((0, config.n_mels))
-        if frames.shape[0] == 0:
-            raise SignalTooShort(
-                f"{len(buf)} samples is less than one frame of {config.frame_size}")
+        frames = np.concatenate([pipe.push(buf.samples[s:s + args.chunk]).frames
+                                 for s in range(0, len(buf), args.chunk)] + [pipe.flush().frames])
     else:
         frames = mel_spectrogram(buf, config).frames
     _emit_matrix(frames, args.format, args.output, "melspec",
@@ -158,6 +153,8 @@ def cmd_melspec(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.top < 0:
+        raise ConfigError(f"--top must be >= 0, got {args.top}")
     graph = load_model(args.model, args.weights)
     if not graph.labels:
         raise ValueError("model has no labels; it is a feature extractor")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -255,8 +256,6 @@ def _spectrum(windowed: np.ndarray, fft_size: int, spectrum_type: str) -> np.nda
 
 def mel_filterbank(config: MelConfig, sample_rate: int) -> np.ndarray:
     """Triangular filterbank as an (n_mels, fft_size // 2 + 1) matrix."""
-    if sample_rate <= 0:
-        raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
     if config.f_max > sample_rate / 2.0:
         raise ConfigError(
             f"f_max {config.f_max} exceeds Nyquist {sample_rate / 2.0} at {sample_rate} Hz")
@@ -293,10 +292,18 @@ def _compression_fn(config: MelConfig):
     return lambda x: np.log10(1.0 + scale * x)
 
 
+@lru_cache(maxsize=4)
 def _front_end(config: MelConfig, sample_rate: int) -> tuple:
-    """The kernel's trailing arguments: window, FFT size, filterbank, spectrum type, compression."""
-    return (window_vector(config.window, config.frame_size), config.fft_size,
-            mel_filterbank(config, sample_rate), config.spectrum_type, _compression_fn(config))
+    """The kernel's trailing arguments: window, FFT size, filterbank, spectrum type, compression.
+
+    Built once per (config, rate) and shared, so its arrays are read-only. ConfigError means the
+    config cannot run at the rate: f_max above Nyquist (so any rate <= 0) or an empty mel filter.
+    """
+    window = window_vector(config.window, config.frame_size)
+    filterbank = mel_filterbank(config, sample_rate)
+    window.setflags(write=False)
+    filterbank.setflags(write=False)
+    return window, config.fft_size, filterbank, config.spectrum_type, _compression_fn(config)
 
 
 def _mel_frame(segments: np.ndarray, window: np.ndarray, fft_size: int,

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..audio_io import _MAX_RATE
-from ..dsp import MelConfig
-from ..errors import (CyclicGraph, InputShapeMismatch, ManifestError, MissingWeight,
+from ..dsp import MelConfig, _front_end
+from ..errors import (ConfigError, CyclicGraph, InputShapeMismatch, ManifestError, MissingWeight,
                       NonFiniteActivation, ShapeMismatch, UnknownNode)
 from .ops import _KINDS, _REQUIRED, op_def, weight_param_names
 
@@ -101,17 +101,18 @@ def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
         raise ManifestError(f"input shape must be positive, got {input_shape}")
     if patch_frames < 1:
         raise ManifestError(f"patch_frames must be >= 1, got {patch_frames}")
-    if not 0 < sample_rate <= _MAX_RATE:
-        raise ManifestError(f"sample_rate must lie in 1..{_MAX_RATE} (the highest rate the "
-                            f"resampler reaches), got {sample_rate}")
+    if not (0 < sample_rate <= _MAX_RATE and sample_rate == int(sample_rate)):
+        raise ManifestError(f"sample_rate must be an integer in 1..{_MAX_RATE} (the highest rate "
+                            f"the resampler reaches), got {sample_rate}")
     if not all(isinstance(label, str) and _LABEL_RE.fullmatch(label) for label in labels):
         raise ManifestError(f"labels must be non-empty, without ';', line breaks or outer "
                             f"spaces, got {labels!r}")
     if not isinstance(feature_config, MelConfig):
         raise ManifestError("feature_config must be a MelConfig")
-    if feature_config.f_max > sample_rate / 2.0:
-        raise ManifestError(f"feature_config f_max {feature_config.f_max} exceeds the Nyquist "
-                            f"frequency {sample_rate / 2.0} of sample_rate {sample_rate}")
+    try:
+        _front_end(feature_config, sample_rate)
+    except ConfigError as e:
+        raise ManifestError(f"feature_config cannot run at {sample_rate} Hz: {e}") from None
 
     weights = {str(k): np.ascontiguousarray(v, dtype=np.float32) for k, v in weights.items()}
     for wname in weights:

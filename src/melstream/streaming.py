@@ -19,7 +19,8 @@ blocks left and then the rest of the graph. Offline ``forward`` runs the
 same graph evaluation all at once, so the outputs are equal by
 construction, whatever BLAS does with a block's row count. A model
 without a prefix runs whole on the patch-completing push. A chunk with
-NaN or infinity raises ``UnsupportedFormat`` before any state changes.
+NaN or infinity, or that is not 1-D, raises ``UnsupportedFormat`` before any
+state changes.
 
 Between pushes the pipeline holds fewer than one frame of samples, fewer
 than one patch of mel rows and one patch of prefix rows, so memory stays
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio_io import _rate
 from .dsp import _MEL_BLOCK, MelConfig, _frame_view, _front_end, _mel_frame
 from .errors import AlreadyFlushed, UnsupportedFormat
 from .inference.graph import _Evaluation
@@ -75,11 +77,11 @@ class StreamPipeline:
             sample_rate = model.sample_rate
         if config is None:
             raise ValueError("need a MelConfig or a model")
-        if sample_rate is None or sample_rate <= 0:
-            raise ValueError("need a positive sample_rate")
+        if sample_rate is None:
+            raise ValueError("need a sample_rate")
 
         self.config = config
-        self.sample_rate = int(sample_rate)
+        self.sample_rate = _rate(sample_rate, "sample_rate")
         self.model = model
         self._front = _front_end(config, self.sample_rate)
         # Samples of the next frame and rows of the next patch, each with its fill count.
@@ -118,7 +120,9 @@ class StreamPipeline:
         if self._flushed:
             raise AlreadyFlushed("push after flush")
         cfg = self.config
-        chunk = np.asarray(chunk, dtype=np.float64).ravel()
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if chunk.ndim != 1:
+            raise UnsupportedFormat(f"stream chunk must be 1-D, got shape {chunk.shape}")
         # count_nonzero takes ~1.2 µs on a 256-sample chunk, .all() ~2 µs.
         if np.count_nonzero(np.isfinite(chunk)) < chunk.size:
             raise UnsupportedFormat("stream chunk contains non-finite samples")

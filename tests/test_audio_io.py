@@ -325,6 +325,36 @@ class TestAudioBuffer:
             buf.samples[0] = 1.0
 
 
+class TestRateRule:
+    """Every rate argument is a positive integer value; 44100.0 counts, 16000.5 does not."""
+
+    @staticmethod
+    def _sites(tmp_path):
+        path = tmp_path / "t.wav"
+        ms.write_wav(path, tone(440.0, 0.1, sr=22050), 22050)
+        buf = ms.AudioBuffer(np.zeros(100), 22050)
+        cfg = ms.MelConfig(frame_size=512, hop_size=256, n_mels=6, f_max=4000.0)
+        return {
+            "AudioBuffer": lambda rate: ms.AudioBuffer(np.zeros(100), rate).sample_rate,
+            "StreamPipeline":
+                lambda rate: ms.StreamPipeline(config=cfg, sample_rate=rate).sample_rate,
+            "resample": lambda rate: ms.resample(buf, rate).sample_rate,
+            "load_pcm": lambda rate: ms.load_pcm(path, rate).sample_rate,
+        }
+
+    @pytest.mark.parametrize("site", ["AudioBuffer", "StreamPipeline", "resample", "load_pcm"])
+    @pytest.mark.parametrize("rate", [16000.9, 16000.5, 22050.5, 0, -16000, np.nan, np.inf])
+    def test_non_integer_or_non_positive_rate_raises(self, tmp_path, site, rate):
+        with pytest.raises(ValueError, match="positive integer"):
+            self._sites(tmp_path)[site](rate)
+
+    @pytest.mark.parametrize("site", ["AudioBuffer", "StreamPipeline", "resample", "load_pcm"])
+    def test_integral_float_rate_is_that_integer(self, tmp_path, site):
+        for rate in (44100.0, np.float32(16000.0), np.int64(8000)):
+            got = self._sites(tmp_path)[site](rate)
+            assert got == int(rate) and type(got) is int
+
+
 class TestWriteWav:
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):

@@ -207,6 +207,13 @@ class TestMelspec:
                          "--stream")
         assert code == 5
 
+    def test_stream_too_short_exits_before_any_push(self, capsys, monkeypatch, tmp_path):
+        p = tmp_path / "short.wav"
+        write_tone_wav(p, 440.0, 0.01)  # 160 samples < one 512 frame
+        monkeypatch.setattr(ms.StreamPipeline, "push", lambda *a: pytest.fail("pushed"))
+        code, _, err = run(capsys, "melspec", str(p), "--preset", "musicnn-96", "--stream")
+        assert code == 5, err
+
     def test_bad_chunk(self, capsys, tone_wav):
         code, _, _ = run(capsys, "melspec", tone_wav, "--preset", "musicnn-96",
                          "--stream", "--chunk", "0")
@@ -236,6 +243,18 @@ class TestPredict:
         payload = run_json(capsys, "predict", str(wav), "--model", manifest,
                            "--weights", weights, "--top", "1")
         assert len(payload["ranking"]) == 1
+
+    @pytest.mark.parametrize("top", ["-1", "-5"])
+    def test_negative_top_exits_3_before_loading(self, capsys, monkeypatch, tiny_model, tmp_path,
+                                                 top):
+        _, manifest, weights = tiny_model
+        wav = tmp_path / "t.wav"
+        write_tone_wav(wav, 800.0, 1.0, sr=8000)
+        monkeypatch.setattr("melstream.cli.load_model", lambda *a: pytest.fail("loaded"))
+        code, _, err = run(capsys, "predict", str(wav), "--model", manifest,
+                           "--weights", weights, "--top", top)
+        assert code == 3, err
+        assert "--top" in err
 
     def test_stream_matches_offline(self, capsys, monkeypatch, tiny_model, tmp_path):
         graph, manifest, weights = tiny_model
@@ -471,6 +490,24 @@ class TestModelErrors:
         code, _, err = run(capsys, *argv)
         assert code == 4, err
         assert "cannot feed graph input" in err
+
+    @pytest.mark.parametrize("command", ["predict", "predict-stream", "embed"])
+    def test_empty_mel_filter_exits_4(self, capsys, monkeypatch, tiny_model, tone_wav, command):
+        # 40 mel filters between 0 and 4 kHz leave the lowest without a bin of a 64-point FFT.
+        _, manifest, weights = tiny_model
+        path = Path(manifest)
+        text = path.read_text()
+        assert "feature_config.n_mels 6\n" in text
+        path.write_text(text.replace("feature_config.n_mels 6\n", "feature_config.n_mels 40\n"))
+        model = ("--model", manifest, "--weights", weights)
+        argv = {"predict": ("predict", tone_wav, *model),
+                "predict-stream": ("predict", "--stream", *model),
+                "embed": ("embed", tone_wav, *model)}[command]
+        raw = tone(800.0, 0.25, 8000).astype("<f4").tobytes()
+        monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(raw)})())
+        code, _, err = run(capsys, *argv)
+        assert code == 4, err
+        assert "no nonzero weight" in err
 
     def test_rate_above_the_resampler_exits_4(self, capsys, tone_wav, tiny_model):
         _, manifest, weights = tiny_model

@@ -135,9 +135,19 @@ class TestFilterbank:
             mel_filterbank(cfg, 16000)
 
     def test_f_max_above_nyquist(self):
+        # The Nyquist rule also refuses every rate <= 0, before any filter can come out empty.
         cfg = ms.MelConfig(frame_size=512, hop_size=256, n_mels=16, f_max=8000.0)
-        with pytest.raises(ConfigError):
-            mel_filterbank(cfg, 8000)
+        for rate in (8000, 0, -8000):
+            with pytest.raises(ConfigError) as exc:
+                mel_filterbank(cfg, rate)
+            assert not isinstance(exc.value, EmptyFilter), rate
+
+    def test_shared_front_end_is_read_only(self):
+        window, _, filterbank, _, _ = dsp._front_end(ms.preset("musicnn-96"), 16000)
+        for array in (window, filterbank):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert dsp._front_end(ms.preset("musicnn-96"), 16000)[2] is filterbank
 
     @pytest.mark.parametrize("name", sorted(dsp.PRESETS))
     @pytest.mark.parametrize("norm", ["none", "area", "band-width"])

@@ -302,12 +302,22 @@ class TestGraphValidation:
 
     def test_rate_above_the_resampler(self):
         # The resampler stops at 384 kHz; a model at a higher rate could take no WAV.
+        # At 384 kHz CFG's 64-point FFT leaves its mel filters empty; 4096 points fill them.
         args = dict(input_name="in", input_shape=(4,), output_name="a", embedding_name="a",
                     nodes=[ms.Node("a", "relu", ("in",), {})], weights={}, labels=(),
-                    patch_frames=4, feature_config=CFG)
+                    patch_frames=4, feature_config=dataclasses.replace(CFG, fft_size=4096))
         assert ms.build_graph(**args, sample_rate=384000).sample_rate == 384000
         with pytest.raises(ManifestError, match="sample_rate"):
             ms.build_graph(**args, sample_rate=384001)
+
+    def test_rate_must_be_an_integer(self):
+        args = dict(input_name="in", input_shape=(4,), output_name="a", embedding_name="a",
+                    nodes=[ms.Node("a", "relu", ("in",), {})], weights={}, labels=(),
+                    patch_frames=4, feature_config=CFG)
+        assert ms.build_graph(**args, sample_rate=8000.0).sample_rate == 8000
+        for rate in (8000.5, float("nan")):
+            with pytest.raises(ManifestError, match="integer"):
+                ms.build_graph(**args, sample_rate=rate)
 
     @pytest.mark.parametrize("labels", [("a;b", "c"), ("", "c"), (" a", "c"), ("a\nb", "c")],
                              ids=["semicolon", "empty", "outer-space", "line-break"])

@@ -7,14 +7,16 @@ import pytest
 
 import melstream as ms
 import melstream.inference.graph as graph_module
+from melstream import dsp
 import melstream.inference.model_io as model_io
 from melstream.errors import ManifestError, MissingWeight, ModelLoadError, ShapeMismatch
+from melstream.evaluation import DatasetEntry
 from melstream.inference import OPS
 from melstream.inference.model_io import (encode_weights, format_manifest,
                                           parse_manifest, read_weights,
                                           write_weights)
 
-from util import linear_classifier, valid_cnn
+from util import VALID_CNN_RATE, linear_classifier, valid_cnn, write_tone_wav
 
 
 def _load_with_node(tmp_path, line):
@@ -425,8 +427,9 @@ class TestEveryGraphReloads:
         ("feature_config.window hann\n", "feature_config.window hann\n" * 2),
         ("epsilon=0.001234567891", "epsilon=0.5 epsilon=0.001234567891"),
         ("sample_rate 16000", "sample_rate 500000"),
+        ("feature_config.n_mels 96", "feature_config.n_mels 256"),
     ], ids=["float-nan", "second-input", "repeated-feature-config", "repeated-param",
-            "rate-above-resampler"])
+            "rate-above-resampler", "empty-mel-filter"])
     def test_manifest_rejected_at_load(self, tmp_path, old, new):
         ms.save_model(_off_default_graph("batch_norm"), tmp_path / "m.txt", tmp_path / "m.bin")
         text = (tmp_path / "m.txt").read_text()
@@ -443,3 +446,32 @@ class TestEveryGraphReloads:
         (tmp_path / "m.txt").write_text(text.replace("sample_rate 16000", "sample_rate 8000"))
         with pytest.raises(ManifestError, match="Nyquist"):
             ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin")
+
+
+class TestFrontEndBuiltOnce:
+    """``load_model`` builds the model's mel front end; running the model never builds it again."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls, real = [], dsp.mel_filterbank
+        monkeypatch.setattr(dsp, "mel_filterbank", lambda *a: calls.append(a) or real(*a))
+        dsp._front_end.cache_clear()
+        yield calls
+        dsp._front_end.cache_clear()
+
+    def test_no_rebuild_after_the_first_load(self, tmp_path, builds):
+        ms.save_model(valid_cnn(), tmp_path / "m.txt", tmp_path / "m.bin")
+        wavs = [tmp_path / f"t{i}.wav" for i in range(3)]
+        for i, wav in enumerate(wavs):
+            write_tone_wav(wav, 300.0 + 200 * i, 0.8, sr=VALID_CNN_RATE)
+        dsp._front_end.cache_clear()
+        builds.clear()
+        graph = ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin")
+        assert len(builds) == 1
+        for wav in wavs:
+            ms.predict(graph, ms.load_pcm(wav))
+        ms.embed_patches(graph, ms.load_pcm(wavs[0]))
+        ms.extract_embeddings(graph, ms.DatasetManifest(
+            entries=[DatasetEntry(f"t{i}", str(wav), ("x",)) for i, wav in enumerate(wavs)]))
+        ms.StreamPipeline(model=graph).push(ms.load_pcm(wavs[0]).samples)
+        assert len(builds) == 1

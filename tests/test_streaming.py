@@ -321,6 +321,28 @@ class TestNonFinite:
         assert pipe.patches_emitted == 3
 
 
+class TestChunkShape:
+    """A chunk that is not 1-D (say, interleaved stereo) is refused whole, like a non-finite one."""
+
+    @pytest.mark.parametrize("shape", [(600, 2), (2, 600), (1, 600), ()],
+                             ids=["stereo", "channels-first", "row", "scalar"])
+    def test_refused_then_continues_as_offline(self, shape):
+        graph = valid_cnn()
+        x = _valid_cnn_signal()
+        buf = ms.AudioBuffer(x, VALID_CNN_RATE)
+        pipe = ms.StreamPipeline(model=graph)
+        first = pipe.push(x[:3000])
+        with pytest.raises(UnsupportedFormat, match="1-D"):
+            pipe.push(np.full(shape, 0.25))
+        chunks = [600] * -(-(x.size - 3000) // 600)
+        frames, patches = stream_all(pipe, x[3000:], chunks)
+        assert np.array_equal(np.concatenate((first.frames, frames)),
+                              ms.mel_spectrogram(buf, graph.feature_config).frames)
+        assert np.array_equal(np.concatenate((first.patch_outputs, patches)),
+                              ms.predict(graph, buf).per_patch)
+        assert pipe.latency_report().per_chunk_wall_time["chunks"] == 1 + len(chunks)
+
+
 class TestLatency:
     def test_frame_latency(self):
         cfg = ms.preset("musicnn-96")
