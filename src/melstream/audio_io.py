@@ -51,7 +51,9 @@ def _rate(value, name: str) -> int:
 class AudioBuffer:
     """Mono signal plus its sample rate.
 
-    samples are float64, finite and non-empty. Buffers produced by
+    samples are float64, finite and non-empty. They are a read-only view:
+    a float64 array given in is not copied, so it shares memory with the
+    buffer and stays writable by its owner. Buffers produced by
     :func:`load_pcm` are hard-clipped to [-1, 1]; ``clipped`` counts how
     many samples exceeded that range before clipping.
     """
@@ -61,7 +63,7 @@ class AudioBuffer:
     clipped: int = 0
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples, dtype=np.float64).view()
         if samples.ndim != 1 or samples.size == 0:
             raise EmptyAudio("buffer must hold a non-empty 1-D signal")
         if not np.all(np.isfinite(samples)):
@@ -244,13 +246,26 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 
 
 def write_wav(path, samples, sample_rate: int, fmt: str = "pcm16") -> None:
-    """Write a mono or multichannel WAV file (pcm16 or float32)."""
+    """Write a mono or multichannel WAV file (pcm16 or float32).
+
+    Only files that :func:`load_pcm` reads back are written: a rate,
+    channel count or non-finite sample it would refuse raises
+    ``ValueError`` before the file is opened.
+    """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.size == 0:
         raise ValueError("samples must be a non-empty 1-D or 2-D array")
     channels = x.shape[1]
+    sample_rate = _rate(sample_rate, "sample_rate")
+    if not _MIN_RATE <= sample_rate <= _MAX_RATE:
+        raise ValueError(f"sample rate {sample_rate} Hz outside the supported "
+                         f"{_MIN_RATE}..{_MAX_RATE}")
+    if not 1 <= channels <= _MAX_CHANNELS:
+        raise ValueError(f"{channels} channels outside supported range 1..{_MAX_CHANNELS}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples contain non-finite values")
     if fmt == "pcm16":
         payload = np.round(np.clip(x, -1.0, 1.0) * 32767.0).astype("<i2").tobytes()
         bits, tag = 16, _WAVE_PCM

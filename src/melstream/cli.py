@@ -33,7 +33,7 @@ from .dsp import (_CHOICES, PRESET_SAMPLE_RATE, PRESETS, MelConfig, _field_type,
                   frame_count, mel_spectrogram, preset)
 from .errors import (AudioIOError, ConfigError, DegenerateDataset, EvalError,
                      InputShapeMismatch, MelstreamError, ModelLoadError,
-                     SignalTooShort, TrackTooShort, TrainingError)
+                     NoEvaluableTracks, SignalTooShort, TrackTooShort, TrainingError)
 from .evaluation import (cross_collection_eval, crossval_run, load_dataset,
                          load_taxonomy)
 from .inference.model_io import encode_weights, load_model, save_model
@@ -206,12 +206,21 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _head_spec(args, n_classes: int) -> HeadSpec:
-    # The class count comes from the dataset, so too few classes is a
+def _head_inputs(args):
+    """Model, dataset, embedding table, labels of tracks with rows, and a head sized to them."""
+    graph = load_model(args.model, args.weights)
+    dataset = load_dataset(args.dataset)
+    table = extract_embeddings(graph, dataset)
+    labels = {t: c for t, c in dataset.single_labels().items() if t in table.rows}
+    if not labels:
+        raise NoEvaluableTracks("no track produced embeddings")
+    # The class count comes from the tracks, so too few classes is a
     # training-data problem, not a flag problem.
+    n_classes = len(set(labels.values()))
     if n_classes < 2:
-        raise DegenerateDataset(f"dataset holds {n_classes} class(es); need at least 2")
-    return HeadSpec(variant=args.variant, n_classes=n_classes, hidden=args.hidden)
+        raise DegenerateDataset(f"the tracks hold {n_classes} class(es); need at least 2")
+    spec = HeadSpec(variant=args.variant, n_classes=n_classes, hidden=args.hidden)
+    return graph, dataset, table, labels, spec
 
 
 def _train_spec(args, seed: int) -> TrainSpec:
@@ -223,11 +232,7 @@ def _train_spec(args, seed: int) -> TrainSpec:
 
 def cmd_train_head(args) -> int:
     seed = _resolve_seed(args.seed)
-    graph = load_model(args.model, args.weights)
-    dataset = load_dataset(args.dataset)
-    table = extract_embeddings(graph, dataset)
-    labels = {t: c for t, c in dataset.single_labels().items() if t in table.rows}
-    spec = _head_spec(args, len(set(labels.values())))
+    graph, _, table, labels, spec = _head_inputs(args)
     train = _train_spec(args, seed)
     weights = train_head(table, labels, spec, train)
     composite = export_head(weights, graph)
@@ -258,11 +263,9 @@ def cmd_train_head(args) -> int:
 
 def cmd_crossval(args) -> int:
     seed = _resolve_seed(args.seed)
-    graph = load_model(args.model, args.weights)
-    dataset = load_dataset(args.dataset)
-    spec = _head_spec(args, len(dataset.classes))
+    graph, dataset, table, _, spec = _head_inputs(args)
     train = _train_spec(args, seed)
-    report = crossval_run(dataset, graph, spec, train, k=args.folds)
+    report = crossval_run(dataset, graph, spec, train, k=args.folds, table=table)
     payload = {
         "balanced_accuracy": report.balanced_accuracy,
         "stdev_across_folds": report.stdev_across_folds,

@@ -16,6 +16,7 @@ not byte-compatibility guarantees with any third-party extractor.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -131,8 +132,12 @@ class MelConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if _field_type(f) is int and v is not None and not isinstance(v, (int, np.integer)):
-                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+            if _field_type(f) is int and v is not None:
+                # Stored as node int params are: True is 1, np.int64(8) is 8.
+                try:
+                    object.__setattr__(self, f.name, operator.index(v))
+                except TypeError:
+                    raise ConfigError(f"{f.name} must be an integer, got {v!r}") from None
         if self.frame_size < 1:
             raise ConfigError(f"frame_size must be >= 1, got {self.frame_size}")
         if not 1 <= self.hop_size <= self.frame_size:
@@ -317,14 +322,19 @@ def _mel_frame(segments: np.ndarray, window: np.ndarray, fft_size: int,
 
 @dataclass(frozen=True)
 class MelSpectrogram:
-    """Mel frames (T, n_mels) plus the config and rate that produced them."""
+    """Mel frames (T, n_mels) plus the config and rate that produced them.
+
+    ``frames`` is a read-only view: a float64 array given in is not
+    copied, so it shares memory with the spectrogram and stays writable
+    by its owner.
+    """
 
     frames: np.ndarray
     config: MelConfig
     sample_rate: int
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
+        frames = np.asarray(self.frames, dtype=np.float64).view()
         if frames.ndim != 2 or frames.shape[1] != self.config.n_mels:
             raise ValueError(f"frames must be (T, {self.config.n_mels}), got {frames.shape}")
         if not np.all(np.isfinite(frames)):

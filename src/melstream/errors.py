@@ -130,4 +130,4 @@ class DegenerateClass(EvalError):
 
 
 class NoEvaluableTracks(EvalError):
-    """No track survived taxonomy mapping against the model's classes."""
+    """No track produced embeddings, or none survived taxonomy mapping."""

@@ -1,11 +1,12 @@
 """A push-based streaming front end.
 
-A :class:`StreamPipeline` accepts audio in arbitrary chunk sizes and
-emits mel frames (and, when a model is attached, per-patch activations)
-exactly as the offline pipeline would: each push frames every frame it
-completes with the same strided view and the same kernel, in the same
-blocks, so values are bit-identical; trailing partial frames and patches
-are dropped at flush.
+A :class:`StreamPipeline` is built from a model, or from a config and a
+rate. It accepts audio in arbitrary chunk sizes and emits mel frames
+(and, when built from a model, per-patch activations) exactly as the
+offline pipeline would: each push frames every frame it completes with
+the same strided view and the same kernel, in the same blocks, so values
+are bit-identical; trailing partial frames and patches are dropped at
+flush.
 
 With a model attached, the patch is a float32 buffer viewed once as the
 model's input, and the graph's time-local prefix runs while it fills.
@@ -58,27 +59,22 @@ class LatencyReport:
 class StreamPipeline:
     """Push-driven mel (and optional patch inference) pipeline.
 
-    Construct with either an explicit :class:`MelConfig` plus sample
-    rate, or a loaded model graph (its embedded feature config and rate
-    are used, and every completed patch of mel frames is run through the
-    graph; a config or rate given as well must agree with them). Input
-    shorter than one patch yields no patch output.
+    Construct with either a :class:`MelConfig` and a sample rate, or a
+    loaded model graph alone: its embedded feature config and rate are
+    used, and every completed patch of mel frames is run through the
+    graph. A model given with a config or a rate raises ``ValueError``.
+    Input shorter than one patch yields no patch output.
     """
 
     def __init__(self, config: MelConfig | None = None, sample_rate: int | None = None,
                  model=None):
         if model is not None:
-            if config is not None and config != model.feature_config:
-                raise ValueError("explicit config disagrees with the model's feature config")
-            if sample_rate is not None and sample_rate != model.sample_rate:
-                raise ValueError(f"sample_rate {sample_rate} disagrees with the model's "
-                                 f"{model.sample_rate} Hz")
+            if config is not None or sample_rate is not None:
+                raise ValueError("give a model, or a config and a sample_rate, not both")
             config = model.feature_config
             sample_rate = model.sample_rate
-        if config is None:
-            raise ValueError("need a MelConfig or a model")
-        if sample_rate is None:
-            raise ValueError("need a sample_rate")
+        if config is None or sample_rate is None:
+            raise ValueError("need a model, or a config and a sample_rate")
 
         self.config = config
         self.sample_rate = _rate(sample_rate, "sample_rate")

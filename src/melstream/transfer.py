@@ -6,9 +6,10 @@ structure. Variant A is one layer over the embedding; variant B puts a
 hidden layer (100 units by default) before it. Training follows a fixed
 protocol: a stratified track-level 80/20 train/validation split,
 mini-batches of 32 distinct tracks with one randomly drawn patch
-embedding per track, cross-entropy loss, Adam, and a halving of the
-learning rate whenever the best validation loss is 75 epochs stale
-(the staleness anchor resets after each halving). The returned weights
+embedding per track, cross-entropy loss, Adam with the constants of
+:func:`adam_step`, and a halving of the learning rate whenever the best
+validation loss is 75 epochs stale (the staleness anchor resets after
+each halving). The returned weights
 are those of the epoch with the lowest validation loss. Identical inputs
 and seed give bit-identical results.
 
@@ -65,9 +66,6 @@ class HeadSpec:
 @dataclass(frozen=True)
 class TrainSpec:
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     initial_lr: float = 0.001
     lr_patience_epochs: int = 75
     lr_factor: float = 0.5
@@ -76,8 +74,7 @@ class TrainSpec:
     seed: int = 42
 
     def __post_init__(self):
-        positive = ("batch_size", "beta1", "beta2", "epsilon",
-                    "initial_lr", "lr_patience_epochs", "lr_factor")
+        positive = ("batch_size", "initial_lr", "lr_patience_epochs", "lr_factor")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -87,8 +84,6 @@ class TrainSpec:
             raise ValueError("max_epochs must be >= 0")
         if not self.lr_factor < 1:
             raise ValueError("lr_factor must be < 1")
-        if not (self.beta1 < 1 and self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must be < 1")
 
 
 @dataclass
@@ -117,12 +112,13 @@ class HeadWeights:
     val_tracks: tuple[str, ...]
 
 
-def extract_embeddings(graph: ModelGraph, dataset, pad_short: bool = True) -> EmbeddingTable:
+def extract_embeddings(graph: ModelGraph, dataset) -> EmbeddingTable:
     """Embeddings for every track of a dataset manifest.
 
-    Per-track failures (unreadable files, tracks too short with padding
-    off) are collected in ``skipped`` rather than raised. A graph whose
-    input cannot take its own patch fails every track, so it raises
+    A track shorter than one patch is zero-padded to one. Per-track
+    failures (an unreadable file, a signal shorter than one frame) are
+    collected in ``skipped`` rather than raised. A graph whose input
+    cannot take its own patch fails every track, so it raises
     ``InputShapeMismatch`` before the first one.
     """
     patch_to_input(np.zeros((graph.patch_frames, graph.feature_config.n_mels)), graph)
@@ -131,7 +127,7 @@ def extract_embeddings(graph: ModelGraph, dataset, pad_short: bool = True) -> Em
     for entry in dataset.entries:
         try:
             buf = load_pcm(entry.audio_path, graph.sample_rate)
-            table.rows[entry.track_id] = embed_patches(graph, buf, pad_short=pad_short)
+            table.rows[entry.track_id] = embed_patches(graph, buf)
         except (MelstreamError, OSError) as e:
             table.skipped[entry.track_id] = f"{type(e).__name__}: {e}"
     return table
@@ -311,8 +307,7 @@ def train_head(table: EmbeddingTable, labels: dict[str, str], spec: HeadSpec,
             loss, grads = head_loss_and_grads(_unflatten_layers(params), xs, y_train[chunk])
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"training loss became {loss} at epoch {epoch}")
-            params, state = adam_step(params, grads, state, lr, beta1=train.beta1,
-                                      beta2=train.beta2, epsilon=train.epsilon)
+            params, state = adam_step(params, grads, state, lr)
             batch_losses.append(loss)
 
         val = _val_loss(_unflatten_layers(params), val_rows, val_starts, val_counts, y_val)

@@ -324,6 +324,12 @@ class TestAudioBuffer:
         with pytest.raises(ValueError):
             buf.samples[0] = 1.0
 
+    def test_callers_array_stays_writable(self):
+        x = np.zeros(10)
+        buf = ms.AudioBuffer(x, 16000)
+        x[0] = 1.0
+        assert buf.samples[0] == 1.0 and not buf.samples.flags.writeable
+
 
 class TestRateRule:
     """Every rate argument is a positive integer value; 44100.0 counts, 16000.5 does not."""
@@ -359,6 +365,18 @@ class TestWriteWav:
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             ms.write_wav(tmp_path / "t.wav", np.zeros(10), 16000, fmt="mp3")
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    @pytest.mark.parametrize("samples, rate", [
+        (np.zeros(10), 0), (np.zeros(10), 500), (np.zeros(10), 500000),
+        (np.zeros(10), 16000.5), (np.zeros((10, 9)), 16000),
+        (np.array([0.0, np.nan]), 16000), (np.array([0.0, -np.inf]), 16000),
+    ], ids=["rate-0", "rate-500", "rate-500000", "rate-16000.5", "9-channels", "nan", "inf"])
+    def test_refuses_what_load_pcm_cannot_read(self, tmp_path, samples, rate, fmt):
+        path = tmp_path / "t.wav"
+        with pytest.raises(ValueError):
+            ms.write_wav(path, samples, rate, fmt=fmt)
+        assert not path.exists()
 
     def test_load_at_explicit_rate_resamples(self, tmp_path):
         path = tmp_path / "t.wav"

@@ -1,5 +1,6 @@
 """CLI behavior: payloads, formats, exit codes, reproducibility."""
 
+import argparse
 import io
 import json
 import struct
@@ -13,7 +14,8 @@ import pytest
 
 import melstream as ms
 from melstream import dsp
-from melstream.cli import _STREAM_CHUNK, _resolve_seed, build_parser, main
+from melstream.cli import (_STREAM_CHUNK, _add_train_args, _resolve_seed, _train_spec,
+                           build_parser, main)
 from melstream.errors import ConfigError
 from melstream.inference.model_io import read_weights
 
@@ -582,6 +584,23 @@ class TestTrainHead:
                          "--output-weights", str(tmp_path / "h.bin"))
         assert code == 3
 
+    def test_every_train_spec_field_has_a_flag(self):
+        # Each training flag (not --dataset, --variant or --hidden) plus --seed sets one
+        # TrainSpec field, and each field is set by one of them.
+        probe = argparse.ArgumentParser()
+        _add_train_args(probe)
+        flags = [a for a in probe._actions
+                 if a.dest not in ("help", "dataset", "variant", "hidden")]
+        argv = ["train-head", "--model", "m", "--weights", "w", "--dataset", "d",
+                "--output", "o", "--output-weights", "ow", "--seed", "7"]
+        for a in flags:
+            argv += [a.option_strings[0], str(a.default + 1 if a.type is int else a.default / 2)]
+        args = build_parser().parse_args(argv)
+        train = _train_spec(args, _resolve_seed(args.seed))
+        assert len(flags) + 1 == len(fields(ms.TrainSpec))
+        for f in fields(ms.TrainSpec):
+            assert getattr(train, f.name) != f.default, f.name
+
 
 class TestCrossval:
     def test_report_payload(self, capsys, tiny_model, tiny_dataset):
@@ -611,6 +630,42 @@ class TestCrossval:
                            "--folds", "2", "--max-epochs", "1", "--seed", "random")
         assert isinstance(payload["reproducibility"]["seed"], int)
         assert 0 <= payload["reproducibility"]["seed"] < 2 ** 32
+
+
+class TestHeadTracks:
+    """train-head and crossval size the head from the tracks that decoded."""
+
+    def test_class_with_no_readable_track_is_discarded(self, capsys, tiny_model, tiny_dataset,
+                                                       tmp_path):
+        _, manifest, weights = tiny_model
+        rows = Path(tiny_dataset).read_text().splitlines()
+        for i in range(3):
+            bad = tmp_path / f"mid{i}.wav"
+            bad.write_bytes(b"not a wav file")
+            rows.append(f"mid{i},{bad},mid")
+        csv_path = tmp_path / "three_classes.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        payload = run_json(capsys, "crossval", "--model", manifest, "--weights", weights,
+                           "--dataset", str(csv_path), "--folds", "2", "--max-epochs", "1")
+        assert payload["n_evaluated"] == 8
+        assert payload["n_discarded"] == 3
+        assert set(payload["per_class_recall"]) == {"low", "high"}
+
+    @pytest.mark.parametrize("command", ["train-head", "crossval"])
+    def test_no_track_decodes_exits_7(self, capsys, tiny_model, tmp_path, command):
+        _, manifest, weights = tiny_model
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"not a wav file")
+        csv_path = tmp_path / "unreadable.csv"
+        dataset_csv(csv_path, [(f"t{i}", str(bad), ("low" if i % 2 else "high",))
+                               for i in range(4)])
+        argv = {"train-head": ("--output", str(tmp_path / "h.txt"),
+                               "--output-weights", str(tmp_path / "h.bin")),
+                "crossval": ("--folds", "2")}[command]
+        code, _, err = run(capsys, command, "--model", manifest, "--weights", weights,
+                           "--dataset", str(csv_path), "--max-epochs", "1", *argv)
+        assert code == 7, err
+        assert "no track produced embeddings" in err
 
 
 class TestCrossEval:

@@ -397,3 +397,10 @@ class TestMelSpectrogram:
         mel = ms.mel_spectrogram(buf, cfg)
         with pytest.raises(ValueError):
             mel.frames[0, 0] = 5.0
+
+    def test_callers_array_stays_writable(self):
+        cfg = ms.MelConfig(frame_size=256, hop_size=128, n_mels=8, f_max=4000.0)
+        frames = np.zeros((3, 8))
+        mel = ms.MelSpectrogram(frames, cfg, 8000)
+        frames[0, 0] = 1.0
+        assert mel.frames[0, 0] == 1.0 and not mel.frames.flags.writeable

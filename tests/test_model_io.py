@@ -415,11 +415,14 @@ class TestEveryGraphReloads:
         assert ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin").labels == g.labels
 
     def test_config_beyond_six_digits_reloads(self, tmp_path):
-        g = _rebuilt(linear_classifier(seed=3), feature_config=ms.MelConfig(
-            frame_size=512, hop_size=256, n_mels=96, f_min=12.34567, f_max=7999.9999))
-        ms.save_model(g, tmp_path / "m.txt", tmp_path / "m.bin")
-        assert ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin").feature_config == \
-            g.feature_config
+        # The second config gives an integer field as a bool, which is stored as 1.
+        for cfg in (ms.MelConfig(frame_size=512, hop_size=256, n_mels=96, f_min=12.34567,
+                                 f_max=7999.9999),
+                    ms.MelConfig(frame_size=512, hop_size=True, n_mels=96)):
+            g = _rebuilt(linear_classifier(seed=3), feature_config=cfg)
+            ms.save_model(g, tmp_path / "m.txt", tmp_path / "m.bin")
+            assert ms.load_model(tmp_path / "m.txt", tmp_path / "m.bin").feature_config == \
+                g.feature_config
 
     @pytest.mark.parametrize("old, new", [
         ("epsilon=0.001234567891", "epsilon=nan"),
