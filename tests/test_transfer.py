@@ -179,8 +179,8 @@ class TestHeadSpecValidation:
             ms.HeadSpec("B", 2, hidden=0)
 
     @pytest.mark.parametrize("kw", [{"val_fraction": 0.0}, {"val_fraction": 1.0},
-                                    {"lr_factor": 1.0}, {"max_epochs": -1},
-                                    {"batch_size": 0}])
+                                    {"lr_factor": 1.0}, {"initial_lr": 0.0},
+                                    {"max_epochs": -1}, {"batch_size": 0}])
     def test_train_spec_rejects(self, kw):
         with pytest.raises(ValueError):
             ms.TrainSpec(**kw)
