@@ -1,10 +1,11 @@
 """WAV ingestion, channel mixdown and band-limited resampling.
 
 The canonical representation downstream is :class:`AudioBuffer`: a mono
-float signal plus its sample rate. Only RIFF/WAVE containers carrying
-integer PCM (16, 24 or 32 bit) or IEEE float32 payloads are accepted,
-with 1 to 8 channels. Multichannel audio is mixed down by averaging the
-channels, then resampled to the requested rate.
+float signal plus its sample rate. The WAV subset is defined once: the
+``_CODECS`` table (16, 24 or 32-bit integer PCM, float32), the ``_FMT``
+chunk layout and :func:`_parse_wav`'s header rule (1 to 8 channels, 1 kHz
+to 384 kHz), which :func:`write_wav` applies to its own header too.
+Channels are averaged, then resampled to the requested rate.
 
 Resampling uses a windowed-sinc kernel (Kaiser window, 80 dB design) in
 polyphase form, evaluated once per phase for each call.
@@ -21,11 +22,25 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CorruptHeader, EmptyAudio, UnsupportedFormat
+from .errors import AudioIOError, CorruptHeader, EmptyAudio, UnsupportedFormat
 
 _WAVE_PCM = 0x0001
 _WAVE_FLOAT = 0x0003
 _WAVE_EXTENSIBLE = 0xFFFE
+
+# (codec tag, bits) -> the little-endian dtype samples widen from, and their full
+# scale. A 24-bit sample is assembled as the top three bytes of an int32, so it
+# scales like 32-bit PCM.
+_CODECS = {
+    (_WAVE_PCM, 16): ("<i2", 2.0 ** 15),
+    (_WAVE_PCM, 24): ("<i4", 2.0 ** 31),
+    (_WAVE_PCM, 32): ("<i4", 2.0 ** 31),
+    (_WAVE_FLOAT, 32): ("<f4", 1.0),
+}
+# write_wav's formats, as keys of _CODECS.
+_WRITE_FORMATS = {"pcm16": (_WAVE_PCM, 16), "float32": (_WAVE_FLOAT, 32)}
+# The fmt chunk: codec tag, channels, rate, byte rate, block align, bits.
+_FMT = struct.Struct("<HHIIHH")
 
 _MAX_CHANNELS = 8
 # Highest sample rate read or resampled; it bounds the resampler's phase table.
@@ -63,11 +78,13 @@ class AudioBuffer:
     clipped: int = 0
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64).view()
+        samples = np.asarray(self.samples)
         if samples.ndim != 1 or samples.size == 0:
             raise EmptyAudio("buffer must hold a non-empty 1-D signal")
+        # Checked before widening: a float32 signalling NaN warns when cast to float64.
         if not np.all(np.isfinite(samples)):
             raise ValueError("buffer contains non-finite samples")
+        samples = samples.astype(np.float64, copy=False).view()
         rate = _rate(self.sample_rate, "sample_rate")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -84,12 +101,15 @@ class AudioBuffer:
 
 
 def _parse_wav(data: bytes):
-    """Return (format_tag, channels, rate, bits, payload); the payload is a view of ``data``."""
+    """Return (codec, channels, rate, payload); codec is a key of ``_CODECS``.
+
+    The payload is a view of ``data``. A header outside the WAV subset
+    raises CorruptHeader or UnsupportedFormat.
+    """
     data = memoryview(data)
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise CorruptHeader("not a RIFF/WAVE file")
-    fmt = None
-    payload = None
+    fmt = payload = None
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
@@ -105,9 +125,9 @@ def _parse_wav(data: bytes):
         raise CorruptHeader("missing fmt chunk")
     if payload is None:
         raise CorruptHeader("missing data chunk")
-    if len(fmt) < 16:
+    if len(fmt) < _FMT.size:
         raise CorruptHeader("fmt chunk truncated")
-    tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    tag, channels, rate, _byte_rate, _block_align, bits = _FMT.unpack_from(fmt)
     if tag == _WAVE_EXTENSIBLE:
         if len(fmt) < 26:
             raise CorruptHeader("extensible fmt chunk truncated")
@@ -117,45 +137,29 @@ def _parse_wav(data: bytes):
     if not _MIN_RATE <= rate <= _MAX_RATE:
         raise UnsupportedFormat(
             f"sample rate {rate} Hz outside the supported {_MIN_RATE}..{_MAX_RATE}")
-    return tag, channels, rate, bits, payload
+    if not 1 <= channels <= _MAX_CHANNELS:
+        raise UnsupportedFormat(f"{channels} channels outside supported range 1..{_MAX_CHANNELS}")
+    if (tag, bits) not in _CODECS:
+        raise UnsupportedFormat(f"{bits}-bit samples of WAV codec tag 0x{tag:04X} not supported")
+    return (tag, bits), channels, rate, payload
 
 
-def _decode_payload(payload: bytes, tag: int, bits: int, channels: int) -> np.ndarray:
+def _decode_payload(payload: bytes, codec, channels: int) -> np.ndarray:
     """Decode interleaved sample bytes to a (frames, channels) float64 array."""
-    frame_bytes = channels * (bits // 8)
-    if bits % 8 or frame_bytes == 0:
-        raise UnsupportedFormat(f"{bits}-bit samples not supported")
-    usable = (len(payload) // frame_bytes) * frame_bytes
+    dtype, scale = _CODECS[codec]
+    width = codec[1] // 8
+    usable = (len(payload) // (channels * width)) * channels * width
     if usable == 0:
         raise EmptyAudio("data chunk holds no complete frame")
-    payload = payload[:usable]
-
-    if tag == _WAVE_FLOAT:
-        if bits != 32:
-            raise UnsupportedFormat(f"{bits}-bit float WAV not supported")
-        f32 = np.frombuffer(payload, dtype="<f4")
-        # Checked before widening: a signalling NaN warns when cast to float64.
-        if not np.all(np.isfinite(f32)):
-            raise UnsupportedFormat("float WAV contains non-finite samples")
-        flat = f32.astype(np.float64)
-    elif tag == _WAVE_PCM:
-        # Scaled in place: dividing into a new array would hold two float64 copies.
-        if bits == 16:
-            flat = np.frombuffer(payload, dtype="<i2").astype(np.float64)
-            flat /= 2.0 ** 15
-        elif bits == 32:
-            flat = np.frombuffer(payload, dtype="<i4").astype(np.float64)
-            flat /= 2.0 ** 31
-        elif bits == 24:
-            raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-            vals = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-            vals = np.where(vals & 0x800000, vals - 0x1000000, vals)
-            flat = vals.astype(np.float64)
-            flat /= 2.0 ** 23
-        else:
-            raise UnsupportedFormat(f"{bits}-bit integer PCM not supported")
-    else:
-        raise UnsupportedFormat(f"WAV codec tag 0x{tag:04X} not supported")
+    raw = np.frombuffer(payload[:usable], dtype=np.uint8 if width == 3 else dtype)
+    if width == 3:
+        raw = np.pad(raw.reshape(-1, 3), ((0, 0), (1, 0))).view(dtype)[:, 0]
+    # Checked before widening: a signalling NaN warns when cast to float64.
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw)):
+        raise UnsupportedFormat("float WAV contains non-finite samples")
+    # Scaled in place: dividing into a new array would hold two float64 copies.
+    flat = raw.astype(np.float64)
+    flat /= scale
     return flat.reshape(-1, channels)
 
 
@@ -169,11 +173,8 @@ def load_pcm(path, target_rate: int | None = None) -> AudioBuffer:
     """
     if target_rate is not None:
         target_rate = _rate(target_rate, "target_rate")
-    data = Path(path).read_bytes()
-    tag, channels, rate, bits, payload = _parse_wav(data)
-    if not 1 <= channels <= _MAX_CHANNELS:
-        raise UnsupportedFormat(f"{channels} channels outside supported range 1..{_MAX_CHANNELS}")
-    frames = _decode_payload(payload, tag, bits, channels)
+    codec, channels, rate, payload = _parse_wav(Path(path).read_bytes())
+    frames = _decode_payload(payload, codec, channels)
     # A single channel is taken as a view: the mean of one value is that value.
     mono = frames[:, 0] if channels == 1 else frames.mean(axis=1)
     buf = AudioBuffer(mono, rate)
@@ -248,37 +249,33 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 def write_wav(path, samples, sample_rate: int, fmt: str = "pcm16") -> None:
     """Write a mono or multichannel WAV file (pcm16 or float32).
 
-    Only files that :func:`load_pcm` reads back are written: a rate,
-    channel count or non-finite sample it would refuse raises
-    ``ValueError`` before the file is opened.
+    Only files that :func:`load_pcm` reads back are written: the header
+    goes through its header read, and samples must be finite in float32.
+    A refusal raises ``ValueError`` before the file is opened.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    if fmt not in _WRITE_FORMATS:
+        raise ValueError(f"unknown wav format {fmt!r}")
+    x = np.asarray(samples)
+    x = x[:, None] if x.ndim == 1 else x
     if x.ndim != 2 or x.size == 0:
         raise ValueError("samples must be a non-empty 1-D or 2-D array")
-    channels = x.shape[1]
-    sample_rate = _rate(sample_rate, "sample_rate")
-    if not _MIN_RATE <= sample_rate <= _MAX_RATE:
-        raise ValueError(f"sample rate {sample_rate} Hz outside the supported "
-                         f"{_MIN_RATE}..{_MAX_RATE}")
-    if not 1 <= channels <= _MAX_CHANNELS:
-        raise ValueError(f"{channels} channels outside supported range 1..{_MAX_CHANNELS}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples contain non-finite values")
-    if fmt == "pcm16":
-        payload = np.round(np.clip(x, -1.0, 1.0) * 32767.0).astype("<i2").tobytes()
-        bits, tag = 16, _WAVE_PCM
-    elif fmt == "float32":
-        payload = x.astype("<f4").tobytes()
-        bits, tag = 32, _WAVE_FLOAT
-    else:
-        raise ValueError(f"unknown wav format {fmt!r}")
+    # Checked before any cast: widening a float32 signalling NaN warns, and a
+    # finite float64 beyond float32's range would be written as inf.
+    if not np.all(np.abs(x) <= np.finfo(np.float32).max):
+        raise ValueError("samples contain non-finite values or values beyond float32's range")
+    tag, bits = _WRITE_FORMATS[fmt]
+    channels, rate = x.shape[1], _rate(sample_rate, "sample_rate")
     block_align = channels * bits // 8
-    header = (
-        b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-        + b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, sample_rate,
-                                sample_rate * block_align, block_align, bits)
-        + b"data" + struct.pack("<I", len(payload))
-    )
-    Path(path).write_bytes(header + payload)
+    size = x.size * bits // 8
+    try:
+        header = (b"RIFF" + struct.pack("<I", 36 + size) + b"WAVE"
+                  + b"fmt " + struct.pack("<I", _FMT.size)
+                  + _FMT.pack(tag, channels, rate, rate * block_align, block_align, bits)
+                  + b"data" + struct.pack("<I", size))
+        _parse_wav(header)
+    except (AudioIOError, struct.error) as exc:
+        raise ValueError(f"load_pcm could not read this file back: {exc}") from None
+    dtype, scale = _CODECS[tag, bits]
+    if np.dtype(dtype).kind == "i":
+        x = np.round(np.clip(x, -1.0, 1.0) * (scale - 1.0))
+    Path(path).write_bytes(header + x.astype(dtype).tobytes())

@@ -37,7 +37,7 @@ from .errors import (AudioIOError, ConfigError, DegenerateDataset, EvalError,
 from .evaluation import (cross_collection_eval, crossval_run, load_dataset,
                          load_taxonomy)
 from .inference.model_io import encode_weights, load_model, save_model
-from .inference.prediction import (aggregate, embed_patches, predict,
+from .inference.prediction import (AGGREGATIONS, aggregate, embed_patches, predict,
                                    run_patches, tile_patches, top_label)
 from .streaming import StreamPipeline
 from .transfer import (HeadSpec, TrainSpec, export_head, extract_embeddings,
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("predict", help="classify a track")
     p.add_argument("audio", nargs="?")
     _add_model_args(p)
-    p.add_argument("--aggregation", choices=("mean", "max"), default="mean")
+    p.add_argument("--aggregation", choices=AGGREGATIONS, default="mean")
     p.add_argument("--top", type=int, default=0, help="limit the ranking to N labels")
     p.add_argument("--no-pad-short", action="store_true",
                    help="reject tracks shorter than one patch instead of zero-padding")
@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--dataset", required=True, help="external CSV manifest (multi-label)")
     p.add_argument("--taxonomy", required=True, help="TSV tag hierarchy")
-    p.add_argument("--aggregation", choices=("mean", "max"), default="mean")
+    p.add_argument("--aggregation", choices=AGGREGATIONS, default="mean")
     p.add_argument("--output")
     p.set_defaults(func=cmd_cross_eval)
 

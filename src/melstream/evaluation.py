@@ -71,7 +71,7 @@ class DatasetManifest:
 
 def load_dataset(path: str, label_mode: str = "single") -> DatasetManifest:
     """Read a CSV manifest. The header row is mandatory."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DatasetError(f"{path}: empty file")
@@ -130,13 +130,13 @@ class Taxonomy:
 def load_taxonomy(path: str) -> Taxonomy:
     """Read a TSV taxonomy: first line ``classes<TAB>a<TAB>b...``, then one
     ``tag<TAB>parent`` pair per line."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise DatasetError(f"{path}: empty taxonomy")
     head = lines[0].split("\t")
-    if head[0] != "classes" or len(head) < 2:
-        raise DatasetError(f"{path}: first line must be 'classes<TAB>...'")
+    if head[0] != "classes" or len(head) < 2 or "" in head:
+        raise DatasetError(f"{path}: first line must be 'classes<TAB>...' with no empty names")
     parent: dict[str, str] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
@@ -348,7 +348,8 @@ def crossval_run(dataset: DatasetManifest, backbone, head_spec, train_spec,
     predicted: dict[str, str] = {}
     fold_scores = []
     for i, held in enumerate(folds):
-        train_labels = {t: c for t, c in labels.items() if t not in set(held)}
+        held_set = set(held)
+        train_labels = {t: c for t, c in labels.items() if t not in held_set}
         weights = train_head(table, train_labels,
                              head_spec, dc_replace(train_spec, seed=train_spec.seed + i))
         preds = classify_tracks(weights, table, held)

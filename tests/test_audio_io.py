@@ -313,8 +313,12 @@ class TestAudioBuffer:
             ms.AudioBuffer(np.empty(0), 16000)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ms.AudioBuffer(np.array([0.0, np.nan]), 16000)
+        # The float32 signalling NaN is refused before widening to float64, which
+        # warns, and warnings are errors here.
+        snan = np.array([0, 0x7F800001], dtype=np.uint32).view(np.float32)
+        for x in (np.array([0.0, np.nan]), snan):
+            with pytest.raises(ValueError, match="non-finite"):
+                ms.AudioBuffer(x, 16000)
 
     def test_duration(self):
         assert ms.AudioBuffer(np.zeros(8000), 16000).duration == 0.5
@@ -377,6 +381,45 @@ class TestWriteWav:
         with pytest.raises(ValueError):
             ms.write_wav(path, samples, rate, fmt=fmt)
         assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    def test_every_write_reads_back_or_raises(self, tmp_path, fmt):
+        # Rates, channel counts and sample values crossed; whether load_pcm can read a
+        # case is stated here from its rules, not asked of the reader.
+        f32max = float(np.finfo(np.float32).max)
+        kinds = {
+            "zeros": [0.0], "ones": [1.0, -1.0], "1.5": [1.5, -1.5], "nan": [0.0, np.nan],
+            "inf": [np.inf, -np.inf], "1e40": [1e40, -1e40], "f32max": [f32max, -f32max],
+            "signalling-nan": np.array([0, 0x7F800001], dtype=np.uint32).view(np.float32),
+        }
+        unwritable = {"nan", "inf", "1e40", "signalling-nan"}
+        rng = np.random.default_rng(18)
+        path = tmp_path / "t.wav"
+        for rate in (0, 999, 1000, 16000, 44100.0, 16000.5, 384000, 384001):
+            for channels in (1, 2, 8, 9):
+                for kind, values in kinds.items():
+                    x = rng.permutation(np.resize(np.asarray(values), 16 * channels))
+                    x = x.reshape(16, channels)
+                    if kind == "signalling-nan":
+                        assert np.any(x.view(np.uint32) == 0x7F800001)
+                    if (rate not in (1000, 16000, 44100, 384000) or channels > 8
+                            or kind in unwritable):
+                        with pytest.raises(ValueError):
+                            ms.write_wav(path, x, rate, fmt=fmt)
+                        assert not path.exists(), (rate, channels, kind)
+                        continue
+                    ms.write_wav(path, x, rate, fmt=fmt)
+                    buf = ms.load_pcm(path)
+                    path.unlink()
+                    assert buf.sample_rate == rate and len(buf) == 16
+                    if fmt == "pcm16":
+                        clipped = np.clip(x, -1.0, 1.0)
+                        assert np.max(np.abs(buf.samples - clipped.mean(axis=1))) <= 1 / 32767
+                        codes = np.round(clipped * 32767.0)
+                        assert np.array_equal(buf.samples, (codes / 32768.0).mean(axis=1))
+                    else:
+                        expect = x.astype(np.float32).astype(np.float64).mean(axis=1)
+                        assert np.array_equal(buf.samples, np.clip(expect, -1.0, 1.0))
 
     def test_load_at_explicit_rate_resamples(self, tmp_path):
         path = tmp_path / "t.wav"

@@ -329,6 +329,17 @@ class TestPredict:
         assert code == 2, err
         assert "non-finite" in err
 
+    def test_stream_signalling_nan_exits_2(self, capsys, monkeypatch, tiny_model):
+        # Under warnings-as-errors, widening the sample first would escape as a RuntimeWarning.
+        _, manifest, weights = tiny_model
+        x = tone(800.0, 0.25, 8000).astype("<f4")
+        x.view("<u4")[700] = 0x7F800001
+        monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(x.tobytes())})())
+        code, _, err = run(capsys, "predict", "--stream", "--model", manifest,
+                           "--weights", weights)
+        assert code == 2, err
+        assert "non-finite" in err
+
     def test_no_audio_no_stream(self, capsys, tiny_model):
         _, manifest, weights = tiny_model
         code, _, _ = run(capsys, "predict", "--model", manifest, "--weights", weights)

@@ -85,6 +85,12 @@ class TestLoadDataset:
         with pytest.raises(ValueError):
             ms.DatasetManifest(entries=[], label_mode="both")
 
+    def test_utf8_bom_is_not_part_of_the_header(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a byte order mark before the header row.
+        p = tmp_path / "d.csv"
+        p.write_text("track_id,audio_path,labels\nt1,a.wav,rock\n", encoding="utf-8-sig")
+        assert ms.load_dataset(p).entries == [DatasetEntry("t1", "a.wav", ("rock",))]
+
 
 class TestTaxonomy:
     def test_load_and_resolve(self, tmp_path):
@@ -121,10 +127,18 @@ class TestTaxonomy:
         with pytest.raises(DatasetError):
             ms.Taxonomy(classes=("rock", "rock"), parent={})
 
+    def test_utf8_bom_is_not_part_of_the_first_line(self, tmp_path):
+        p = tmp_path / "tax.tsv"
+        p.write_text("classes\trock\tjazz\nfusion\tjazz\n", encoding="utf-8-sig")
+        tax = ms.load_taxonomy(p)
+        assert tax.classes == ("rock", "jazz") and tax.resolve("fusion") == "jazz"
+
     def test_file_errors(self, tmp_path):
         cases = ["", "genres\trock\n", "classes\n",
                  "classes\trock\nonly_one_field\n",
-                 "classes\trock\na\trock\na\trock\n"]
+                 "classes\trock\na\trock\na\trock\n",
+                 # An empty class name: a trailing tab, a double tab, a lone tab.
+                 "classes\tjazz\t\n", "classes\t\tjazz\n", "classes\t\n"]
         for i, text in enumerate(cases):
             p = tmp_path / f"t{i}.tsv"
             p.write_text(text)

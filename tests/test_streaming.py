@@ -304,6 +304,16 @@ class TestNonFinite:
         assert np.array_equal(np.concatenate((first, rest)), offline)
         assert pipe.latency_report().per_chunk_wall_time["chunks"] == 2
 
+    def test_float32_signalling_nan(self):
+        # Refused before the chunk is widened to float64, which would warn first.
+        pipe = ms.StreamPipeline(config=ms.MelConfig(frame_size=64, hop_size=32, n_mels=6,
+                                                     f_max=4000.0), sample_rate=8000)
+        chunk = np.zeros(256, dtype=np.float32)
+        chunk.view(np.uint32)[100] = 0x7F800001
+        with pytest.raises(UnsupportedFormat, match="non-finite"):
+            pipe.push(chunk)
+        assert len(pipe.push(np.zeros(256, dtype=np.float32)).frames) == 7
+
     def test_with_a_model(self):
         graph = valid_cnn()
         x = _valid_cnn_signal()
