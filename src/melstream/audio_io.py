@@ -8,7 +8,10 @@ to 384 kHz), which :func:`write_wav` applies to its own header too.
 Channels are averaged, then resampled to the requested rate.
 
 Resampling uses a windowed-sinc kernel (Kaiser window, 80 dB design) in
-polyphase form, evaluated once per phase for each call.
+polyphase form, evaluated once per phase for each call. A phase's outputs
+read the signal at a fixed stride, so each phase is one product of a
+strided view with its taps; outputs whose window runs past the signal, and
+all outputs when phases hold few of them, are gathered in blocks instead.
 Filter rows are normalized to unit sum, so a constant signal stays
 exactly constant at any rate pair, including at the edges.
 """
@@ -53,6 +56,8 @@ _MIN_RATE = 1000
 _STOP_ATTEN_DB = 80.0
 _PASSBAND_FRACTION = 0.45
 _RESAMPLE_BLOCK = 4096
+# Below this many outputs per phase, a phase's strided product costs more than its gather.
+_MIN_PER_PHASE = 32
 
 
 def _rate(value, name: str) -> int:
@@ -176,7 +181,17 @@ def load_pcm(path, target_rate: int | None = None) -> AudioBuffer:
     codec, channels, rate, payload = _parse_wav(Path(path).read_bytes())
     frames = _decode_payload(payload, codec, channels)
     # A single channel is taken as a view: the mean of one value is that value.
-    mono = frames[:, 0] if channels == 1 else frames.mean(axis=1)
+    # More are added a column at a time, ~10x faster than mean(axis=1) over short
+    # rows, in mean's order (it pairs eight) and from its +0.0, so the bits match.
+    mono = frames[:, 0]
+    if channels > 1:
+        cols = [frames[:, c] for c in range(channels)]
+        if channels == 8:
+            cols = [cols[0] + cols[1] + (cols[2] + cols[3]), cols[4] + cols[5] + (cols[6] + cols[7])]
+        mono = cols[0] + 0.0
+        for col in cols[1:]:
+            mono += col
+        mono /= channels
     buf = AudioBuffer(mono, rate)
     if target_rate is not None:
         buf = resample(buf, target_rate)
@@ -205,30 +220,44 @@ def _resample_sinc(x: np.ndarray, source: int, target: int) -> np.ndarray:
     ``up = target / gcd``, so the table holds ``min(n_out, up)`` rows of taps
     in float64: 65 KB for 44100 -> 16000, 6.5 MB for 44101 -> 16000, and
     under about 60 MB for any rate pair up to ``_MAX_RATE`` (384 kHz).
+    Phases with ``_MIN_PER_PHASE`` outputs or more run strided; the edges,
+    and every output of a pair with fewer (coprime rates on short inputs),
+    are gathered. Both paths give the same bits.
     """
     cutoff, beta, half = _kernel_design(source, target)
     g = np.gcd(source, target)
     up, down = target // g, source // g
     offsets = np.arange(-half, half + 1, dtype=np.int64)
-    # Window k covers x[k - half : k + half + 1], zero-padded outside x;
-    # inside marks which of those taps fall within x.
+    # Window k covers x[k - half : k + half + 1], zero-padded outside x.
     windows = sliding_window_view(np.pad(x, half), offsets.size)
-    inside = sliding_window_view(np.pad(np.ones(x.size), half), offsets.size)
     out = np.empty(int(round(x.size * target / source)))
     # Row r holds the taps of output r's phase, r * down % up; output j uses row j % up.
     tau = (np.arange(min(out.size, up), dtype=np.int64) * down % up)[:, None] / up - offsets
     win_arg = np.clip(1.0 - (tau / half) ** 2, 0.0, None)
     table = np.sinc(2.0 * cutoff * tau) * (np.i0(beta * np.sqrt(win_arg)) / np.i0(beta))
     table *= np.abs(tau) <= half
-    for start in range(0, out.size, _RESAMPLE_BLOCK):
-        # Output j reads sample j * down // up: exact, where flooring a float
+    j = np.arange(out.size, dtype=np.int64)
+    if out.size >= _MIN_PER_PHASE * up:
+        # Phase r serves outputs r, r + up, ...: windows from r * down // up, down apart.
+        for r in range(up):
+            rows = windows[r * down // up::down][:len(range(r, out.size, up))]
+            np.einsum("ij,j->i", rows, table[r], out=out[r::up])
+        # A window inside x takes its row's full tap sum; outputs whose window
+        # leaves x, those before lo and from hi on, are redone by the gather below.
+        out /= np.einsum("ij,ij->i", np.ones_like(table), table)[j % up]
+        lo, hi = -(-half * up // down), -(-(x.size - half) * up // down)
+        j = j[(j < lo) | (j >= hi)]
+    for start in range(0, j.size, _RESAMPLE_BLOCK):
+        # Output j reads window j * down // up: exact, where flooring a float
         # position can land one sample off.
-        j = np.arange(start, min(start + _RESAMPLE_BLOCK, out.size), dtype=np.int64)
-        base = j * down // up
-        taps = table[j % up]
+        block = j[start:start + _RESAMPLE_BLOCK]
+        base = block * down // up
+        taps = table[block % up]
         # Each row is divided by the sum of its taps inside x, so edges keep constants constant.
-        out[start:start + base.size] = (np.einsum("ij,ij->i", windows[base], taps)
-                                        / np.einsum("ij,ij->i", inside[base], taps))
+        at = base[:, None] + offsets
+        inside = ((at >= 0) & (at < x.size)).astype(np.float64)
+        out[block] = (np.einsum("ij,ij->i", windows[base], taps)
+                      / np.einsum("ij,ij->i", inside, taps))
     return out
 
 

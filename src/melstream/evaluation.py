@@ -131,14 +131,14 @@ def load_taxonomy(path: str) -> Taxonomy:
     """Read a TSV taxonomy: first line ``classes<TAB>a<TAB>b...``, then one
     ``tag<TAB>parent`` pair per line."""
     with open(path, encoding="utf-8-sig") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise DatasetError(f"{path}: empty taxonomy")
-    head = lines[0].split("\t")
+    head = lines[0][1].split("\t")
     if head[0] != "classes" or len(head) < 2 or "" in head:
         raise DatasetError(f"{path}: first line must be 'classes<TAB>...' with no empty names")
     parent: dict[str, str] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise DatasetError(f"{path}:{lineno}: expected 'tag<TAB>parent'")

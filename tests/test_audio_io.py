@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import melstream as ms
 from melstream import audio_io
 from melstream.errors import CorruptHeader, EmptyAudio, UnsupportedFormat
 
-from oracles import ref_resample
+from oracles import ref_resample, ref_resample_blocked
 from util import tone
 
 
@@ -75,6 +76,35 @@ class TestDecoding:
         path.write_bytes(build_wav(payload, tag=3, channels=2, bits=32))
         buf = ms.load_pcm(path)
         assert np.allclose(buf.samples, 0.125)
+
+    @pytest.mark.parametrize("channels", range(1, 9))
+    @pytest.mark.parametrize("codec", sorted(audio_io._CODECS), ids=lambda c: f"tag{c[0]}-{c[1]}bit")
+    def test_mixdown_bits_equal_mean(self, tmp_path, codec, channels):
+        # load_pcm adds channel columns itself; its bits must be mean(axis=1)'s,
+        # and a single channel is that channel. Float32 values span exponents
+        # -60..60, where the order of an 8-channel sum changes the result.
+        tag, bits = codec
+        rng = np.random.default_rng(bits * 10 + channels)
+        shape = (4096, channels)
+        if tag == audio_io._WAVE_FLOAT:
+            exponents = rng.integers(-60, 61, shape)
+            exponents[shape[0] // 2:] = rng.integers(-60, 1, (shape[0] // 2, channels))
+            values = (rng.standard_normal(shape) * 2.0 ** exponents).astype("<f4")
+            values[:4] = -0.0
+            values[4:8, 0] = 0.0
+            payload, frames = values.tobytes(), values.astype(np.float64)
+        else:
+            codes = rng.integers(-2 ** (bits - 1), 2 ** (bits - 1), shape)
+            raw = codes.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :bits // 8]
+            payload, frames = raw.tobytes(), codes / 2.0 ** (bits - 1)
+        path = tmp_path / "t.wav"
+        path.write_bytes(build_wav(payload, tag=tag, channels=channels, bits=bits))
+        expect = np.clip(frames[:, 0] if channels == 1 else frames.mean(axis=1), -1.0, 1.0)
+        got = ms.load_pcm(path).samples
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        if tag == audio_io._WAVE_FLOAT and channels == 8:
+            in_order = np.clip(sum(frames[:, c] for c in range(8)) / 8, -1.0, 1.0)
+            assert not np.array_equal(in_order, expect)
 
     def test_clipping_counted_and_applied(self, tmp_path):
         x = np.array([0.0, 1.5, -2.0, 0.5], dtype=np.float32)
@@ -261,6 +291,53 @@ class TestResampler:
             outs.append(ms.resample(ms.AudioBuffer(x, source), target).samples)
         for out in outs[1:]:
             assert np.array_equal(out, outs[0])
+
+    # The six pairs at an input shorter than one window, inputs with few
+    # outputs per phase (gathered), and 2.3 s (strided phases for all but 44101).
+    @pytest.mark.parametrize("length", [7, 30, 1000, 2.3])
+    @pytest.mark.parametrize("source,target", [
+        (44100, 16000), (48000, 16000), (22050, 16000), (16000, 44100), (8000, 16000),
+        (44101, 16000),
+    ])
+    def test_bits_equal_blocked_reference(self, source, target, length):
+        # An int length is samples, a float one seconds.
+        n = int(length * source) if isinstance(length, float) else length
+        x = np.random.default_rng(n).standard_normal(n)
+        out = audio_io._resample_sinc(x, source, target)
+        ref = ref_resample_blocked(x, source, target)
+        assert out.shape == ref.shape
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("extra", [-1, 0])
+    def test_bits_equal_blocked_reference_at_phase_rule(self, extra):
+        # 44101 -> 16000 has up = 16000 phases: one output short of
+        # _MIN_PER_PHASE per phase every output is gathered; at it, phases run strided.
+        source, target = 44101, 16000
+        n_out = audio_io._MIN_PER_PHASE * target + extra
+        n = n_out * source // target
+        while int(round(n * target / source)) < n_out:
+            n += 1
+        x = np.random.default_rng(11).standard_normal(n)
+        out = audio_io._resample_sinc(x, source, target)
+        assert out.size == n_out
+        assert np.array_equal(out.view(np.uint64),
+                              ref_resample_blocked(x, source, target).view(np.uint64))
+
+    def test_strided_row_product_equals_gathered(self):
+        # The strided phase path relies on einsum giving a row times one tap row the
+        # same bits as the gathered copy times that row repeated.
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(5000)
+        for width in range(1, 130):
+            windows = sliding_window_view(x, width)
+            taps = rng.standard_normal(width)
+            for start, step in ((0, 1), (3, 3), (7, 441), (1, 160)):
+                rows = windows[start::step][:200]
+                gathered = np.einsum("ij,ij->i", np.ascontiguousarray(rows),
+                                     np.tile(taps, (rows.shape[0], 1)))
+                out = np.empty(2 * rows.shape[0])
+                np.einsum("ij,j->i", rows, taps, out=out[1::2])
+                assert np.array_equal(out[1::2].view(np.uint64), gathered.view(np.uint64))
 
     def test_kernel_evaluated_once_per_phase(self, monkeypatch):
         # 44101 -> 16000 is coprime: up = 16000 phases, more than one block

@@ -133,6 +133,18 @@ class TestTaxonomy:
         tax = ms.load_taxonomy(p)
         assert tax.classes == ("rock", "jazz") and tax.resolve("fusion") == "jazz"
 
+    @pytest.mark.parametrize("text, error", [
+        ("classes\trock\n\n\nbad\n", "tax.tsv:4: expected"),
+        ("\nclasses\trock\n\nbad\n", "tax.tsv:4: expected"),
+        ("classes\trock\na\trock\n\na\trock\n", "tax.tsv:4: duplicate"),
+    ])
+    def test_error_names_the_file_line(self, tmp_path, text, error):
+        # Blank lines are skipped, but they still count when a line is named.
+        p = tmp_path / "tax.tsv"
+        p.write_text(text)
+        with pytest.raises(DatasetError, match=error):
+            ms.load_taxonomy(p)
+
     def test_file_errors(self, tmp_path):
         cases = ["", "genres\trock\n", "classes\n",
                  "classes\trock\nonly_one_field\n",
