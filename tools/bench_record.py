@@ -51,9 +51,9 @@ def _export(rev: str, into: Path) -> str:
 def _run(tree: Path, command: list[str], workload: str, seed: int, seconds: float,
          trace: int) -> dict:
     """One melbench run in ``tree``: its result JSON plus the host and digest lines."""
-    argv = [sys.executable if command[0].startswith("python") else command[0], *command[1:],
-            "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}",
-            "--trace", str(trace)]
+    # The benchmark's command is a Python interpreter and a script; this interpreter runs it.
+    argv = [sys.executable, *command[1:], "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
