@@ -236,27 +236,28 @@ def _resample_sinc(x: np.ndarray, source: int, target: int) -> np.ndarray:
     win_arg = np.clip(1.0 - (tau / half) ** 2, 0.0, None)
     table = np.sinc(2.0 * cutoff * tau) * (np.i0(beta * np.sqrt(win_arg)) / np.i0(beta))
     table *= np.abs(tau) <= half
-    j = np.arange(out.size, dtype=np.int64)
+    # Outputs lo..hi-1 read only inside x, so each divides by its row's full tap sum;
+    # the rest, and all outputs when phases hold few, are gathered below.
+    lo = hi = out.size
     if out.size >= _MIN_PER_PHASE * up:
         # Phase r serves outputs r, r + up, ...: windows from r * down // up, down apart.
+        tap_sums = np.einsum("ij,ij->i", np.ones_like(table), table)
         for r in range(up):
             rows = windows[r * down // up::down][:len(range(r, out.size, up))]
             np.einsum("ij,j->i", rows, table[r], out=out[r::up])
-        # A window inside x takes its row's full tap sum; outputs whose window
-        # leaves x, those before lo and from hi on, are redone by the gather below.
-        out /= np.einsum("ij,ij->i", np.ones_like(table), table)[j % up]
+            out[r::up] /= tap_sums[r]
         lo, hi = -(-half * up // down), -(-(x.size - half) * up // down)
-        j = j[(j < lo) | (j >= hi)]
-    for start in range(0, j.size, _RESAMPLE_BLOCK):
-        # Output j reads window j * down // up: exact, where flooring a float
-        # position can land one sample off.
-        block = j[start:start + _RESAMPLE_BLOCK]
-        base = block * down // up
-        taps = table[block % up]
-        # Each row is divided by the sum of its taps inside x, so edges keep constants constant.
-        at = base[:, None] + offsets
-        inside = ((at >= 0) & (at < x.size)).astype(np.float64)
-        out[block] = (np.einsum("ij,ij->i", windows[base], taps)
+    for span in (range(min(lo, out.size)), range(max(hi, lo), out.size)):
+        for start in span[::_RESAMPLE_BLOCK]:
+            # Output j reads window j * down // up: exact, where flooring a float
+            # position can land one sample off.
+            j = np.arange(start, min(start + _RESAMPLE_BLOCK, span.stop), dtype=np.int64)
+            base = j * down // up
+            taps = table[j % up]
+            # Each row is divided by the sum of its taps inside x, so edges keep constants constant.
+            at = base[:, None] + offsets
+            inside = ((at >= 0) & (at < x.size)).astype(np.float64)
+            out[j] = (np.einsum("ij,ij->i", windows[base], taps)
                       / np.einsum("ij,ij->i", inside, taps))
     return out
 

@@ -129,6 +129,21 @@ class TestDecoding:
             tracemalloc.stop()
         assert peak < 2 * 8 * len(buf)
 
+    def test_peak_memory_upsampling(self, tmp_path):
+        # 8 kHz to 16 kHz, per output sample: the file's bytes (1), the decoded signal
+        # and its zero-padded copy (4 each) and the float64 output (8) come to about 17
+        # bytes; one more float64 array as long as the input (4), such as a padded
+        # ones array or an index or divisor per output, passes 2.5 x 8.
+        path = tmp_path / "t.wav"
+        ms.write_wav(path, tone(440.0, 10.0, sr=8000), 8000)
+        tracemalloc.start()
+        try:
+            buf = ms.load_pcm(path, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * len(buf)
+
     def test_extra_chunks_are_skipped(self, tmp_path):
         payload = struct.pack("<2h", 1000, -1000)
         junk = b"LIST" + struct.pack("<I", 5) + b"junk\x00" + b"\x00"

@@ -1,15 +1,15 @@
 """Record melbench results for a parent revision and a change, in alternated pairs.
 
     python3 tools/bench_record.py --out BENCH_<n>.json [--parent HEAD~] [--change HEAD]
-        [--pairs 10] [--first-seed 1] [--workload NAME ...] [--seconds S]
+        [--pairs 10]
 
 Each revision's committed files are exported with ``git archive`` into a
 temporary directory, so both sides run as clean checkouts and uncommitted
-edits take no part. For every workload and every seed from ``--first-seed``
-on, ``melbench/run.py --trace 0`` runs once in each tree; the side that runs
-first alternates from pair to pair. One ``--trace 1`` run per side and
-workload, at the first seed, follows. The run length defaults to
-``run_seconds`` from ``BENCHMARK.json``.
+edits take no part. For every workload in ``BENCHMARK.json`` and seeds 1 to
+``--pairs``, ``melbench/run.py --trace 0`` runs once in each tree; the side
+that runs first alternates from pair to pair. One ``--trace 1`` run per side
+and workload, at seed 1, follows. Every run lasts the benchmark's
+``run_seconds``.
 
 The output JSON holds the host line, and for each workload and side the
 median and quartiles of every end-to-end metric, the digest of each run,
@@ -91,15 +91,11 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD~")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workload", action="append")
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(range(1, args.pairs + 1))
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_record-"))
     try:
@@ -108,7 +104,7 @@ def main(argv=None) -> int:
         revs = {side: _export(getattr(args, side), trees[side]) for side in sides}
         record = {"command": bench["command"], "seconds": seconds, "seeds": seeds,
                   "revisions": revs, "workloads": {}}
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = {side: [] for side in sides}
             for i, seed in enumerate(seeds):
                 for side in (sides if i % 2 == 0 else sides[::-1]):
