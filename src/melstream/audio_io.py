@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -213,35 +214,50 @@ def _kernel_design(source: int, target: int):
     return cutoff, beta, half
 
 
-def _resample_sinc(x: np.ndarray, source: int, target: int) -> np.ndarray:
-    """Polyphase resampling from one table of the phases the output uses.
+@lru_cache(maxsize=4)
+def _phase_table(source: int, target: int, rows: int) -> tuple:
+    """Taps of the first ``rows`` phases of ``source -> target``, and each row's sum.
 
-    Output j uses phase ``j * down % up``, which repeats with period
-    ``up = target / gcd``, so the table holds ``min(n_out, up)`` rows of taps
-    in float64: 65 KB for 44100 -> 16000, 6.5 MB for 44101 -> 16000, and
-    under about 60 MB for any rate pair up to ``_MAX_RATE`` (384 kHz).
+    Row r holds the taps of output r's phase, ``r * down % up``, in float64;
+    output j uses row ``j % up``. Every track at a rate pair shares them, so the
+    arrays are read-only. A table holds ``min(n_out, up)`` rows, ``up = target / gcd``:
+    65 KB for 44100 -> 16000, 6.5 MB for 44101 -> 16000 and under about 60 MB for
+    any pair up to ``_MAX_RATE`` (384 kHz). So the cache keeps at most four tables,
+    under 240 MB in the worst case, a few hundred KB for the common rates.
+    """
+    cutoff, beta, half = _kernel_design(source, target)
+    g = np.gcd(source, target)
+    up, down = target // g, source // g
+    tau = (np.arange(rows, dtype=np.int64) * down % up)[:, None] / up - np.arange(-half, half + 1)
+    win_arg = np.clip(1.0 - (tau / half) ** 2, 0.0, None)
+    table = np.sinc(2.0 * cutoff * tau) * (np.i0(beta * np.sqrt(win_arg)) / np.i0(beta))
+    table *= np.abs(tau) <= half
+    tap_sums = np.einsum("ij,ij->i", np.ones_like(table), table)
+    table.setflags(write=False)
+    tap_sums.setflags(write=False)
+    return table, tap_sums
+
+
+def _resample_sinc(x: np.ndarray, source: int, target: int) -> np.ndarray:
+    """Polyphase resampling from one cached table of the phases the output uses.
+
     Phases with ``_MIN_PER_PHASE`` outputs or more run strided; the edges,
     and every output of a pair with fewer (coprime rates on short inputs),
     are gathered. Both paths give the same bits.
     """
-    cutoff, beta, half = _kernel_design(source, target)
+    _, _, half = _kernel_design(source, target)
     g = np.gcd(source, target)
     up, down = target // g, source // g
     offsets = np.arange(-half, half + 1, dtype=np.int64)
     # Window k covers x[k - half : k + half + 1], zero-padded outside x.
     windows = sliding_window_view(np.pad(x, half), offsets.size)
     out = np.empty(int(round(x.size * target / source)))
-    # Row r holds the taps of output r's phase, r * down % up; output j uses row j % up.
-    tau = (np.arange(min(out.size, up), dtype=np.int64) * down % up)[:, None] / up - offsets
-    win_arg = np.clip(1.0 - (tau / half) ** 2, 0.0, None)
-    table = np.sinc(2.0 * cutoff * tau) * (np.i0(beta * np.sqrt(win_arg)) / np.i0(beta))
-    table *= np.abs(tau) <= half
+    table, tap_sums = _phase_table(source, target, min(out.size, up))
     # Outputs lo..hi-1 read only inside x, so each divides by its row's full tap sum;
     # the rest, and all outputs when phases hold few, are gathered below.
     lo = hi = out.size
     if out.size >= _MIN_PER_PHASE * up:
         # Phase r serves outputs r, r + up, ...: windows from r * down // up, down apart.
-        tap_sums = np.einsum("ij,ij->i", np.ones_like(table), table)
         for r in range(up):
             rows = windows[r * down // up::down][:len(range(r, out.size, up))]
             np.einsum("ij,j->i", rows, table[r], out=out[r::up])

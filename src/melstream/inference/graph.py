@@ -13,12 +13,26 @@ a rank-3 input or by other prefix nodes whose op has a row rule in
 ``_Evaluation`` runs the prefix in fixed blocks of ``_ROW_BLOCK`` output
 rows, each cut from the input with its halo, then the suffix whole: all
 at once for ``forward_from``, block by block as a stream's patch fills.
+
+A prefix chain conv2d -> batch_norm -> relu -> max_pool2d whose conv, bn
+and relu outputs each have one reader runs as one pool-first step: the
+GEMM, the pool's window max of the raw product (the min for channels whose
+float32 batch_norm scale is negative), then bias, batch_norm and relu on
+the pooled rows only. Every float32 stage is monotone per channel, so the
+bits are the plain steps'; a chain with a -0.0 beta, or whose conv, bn or
+relu output is the target or a seed, runs plain. The full-tensor finite
+checks of those stages give way to a bound: one ``max|x|`` of the block's
+conv input, against a per-chain limit under which no stage can overflow
+(``_chain_limit``). A block where the bound does not hold runs again as the
+plain steps, which name the node that makes a non-finite value.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +40,7 @@ from ..audio_io import _MAX_RATE
 from ..dsp import MelConfig, _front_end
 from ..errors import (ConfigError, CyclicGraph, InputShapeMismatch, ManifestError, MissingWeight,
                       NonFiniteActivation, ShapeMismatch, UnknownNode)
-from .ops import _KINDS, _REQUIRED, op_def, weight_param_names
+from .ops import _KINDS, _REQUIRED, _bn_scale, _conv_gemm, _pool, op_def, weight_param_names
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/]+$")
 # A label must come back whole from the manifest's ``labels a;b;c`` line.
@@ -35,6 +49,9 @@ _LABEL_RE = re.compile(r"[^;\s]+(?: +[^;\s]+)*")
 FORMAT_VERSION = 1
 # Prefix rows per block; blocks start at row 0, so the last block of a patch may be shorter.
 _ROW_BLOCK = 32
+# float32's unit roundoff and largest value, for the overflow bound of pool-first chains.
+_U = 2.0 ** -24
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -66,6 +83,15 @@ class ModelGraph:
     _halos: dict = field(repr=False)
     # (first output row, end of the input rows read) of each prefix block, in order.
     _blocks: tuple = field(repr=False)
+
+    @functools.cached_property
+    def _chains(self) -> dict:
+        """Each pool-first step of the prefix, by its conv's name.
+
+        Built by the first block run, not by ``build_graph``: a setup that builds
+        many graphs pays nothing for it.
+        """
+        return _pool_first_chains(self)
 
 
 def _check_name(name: str, what: str) -> None:
@@ -181,6 +207,96 @@ def build_graph(*, input_name, input_shape, output_name, embedding_name, nodes,
         _steps=tuple(steps), _halos=halos, _blocks=blocks)
 
 
+class _Chain(NamedTuple):
+    steps: tuple  # the plain (node, op kernel, weight params) steps, conv2d to max_pool2d
+    limit: float  # the largest max|x| of a conv input for which no stage can overflow
+    negative: np.ndarray | None  # channels with a negative scale, pooled by their min
+
+
+def _chain_limit(kernel, bias, mean, scale, beta) -> float:
+    """The largest max|x| of a conv input for which no stage of a chain can overflow.
+
+    With u = 2**-24 and K = kh*kw*ci, the GEMM gives |y_c| <= (1 + K*u / (1 - K*u)) *
+    ||k_c||_1 * max|x| in any summation order (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 3.1). Each later float32 op is bounded by
+    (|a| + |b|)(1 + u) or |a||b|(1 + u) of the bounds of its operands. So every stage
+    is bounded by g*M + a per channel, for M = max|x|, and the limit keeps each bound
+    at or under half float32's max; that margin also covers the float64 arithmetic
+    here. It is -1, never met, when a parameter is not finite.
+    """
+    if not all(np.isfinite(v).all() for v in (kernel, bias, mean, scale, beta)):
+        return -1.0
+    k = kernel.shape[0] * kernel.shape[1] * kernel.shape[2]
+    g = (1 + k * _U / (1 - k * _U)) * np.abs(kernel, dtype=np.float64).sum(axis=(0, 1, 2))
+    a = np.zeros_like(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        limits = [(_F32_MAX / 2 - a) / g]
+        # + bias, - mean, * scale, + beta.
+        for add, mul in ((bias, 1.0), (mean, 1.0), (0.0, scale), (beta, 1.0)):
+            mul = np.abs(mul, dtype=np.float64) * (1 + _U)
+            g, a = g * mul, (a + np.abs(add, dtype=np.float64)) * mul
+            limits.append((_F32_MAX / 2 - a) / g)
+    # A 0/0 makes the limit NaN, never met; capping at float32's max refuses an inf input.
+    return float(np.min(limits, initial=_F32_MAX))
+
+
+def _pool_first_chains(graph: ModelGraph) -> dict:
+    """Find the prefix chains whose conv, bn and relu outputs have one reader each."""
+    readers: dict[str, list] = {}
+    for node in graph.nodes:
+        for ref in node.inputs:
+            readers.setdefault(ref, []).append(node)
+    steps = {step[0].name: step for step in graph._steps}
+    chains = {}
+    for conv in graph.nodes:
+        chain = [conv]
+        for op in ("batch_norm", "relu", "max_pool2d"):
+            after = readers.get(chain[-1].name, [])
+            if len(after) != 1 or after[0].op != op:
+                break
+            chain.append(after[0])
+        if conv.op != "conv2d" or len(chain) < 4 or chain[-1].name not in graph._halos:
+            continue
+        (_, _, conv_wts), (bn, _, bn_wts) = steps[conv.name], steps[chain[1].name]
+        beta = bn_wts["beta"]
+        # batch_norm ends by adding beta, so only a -0.0 beta lets it output -0.0; the
+        # bits would then hang on how a pool breaks a tie of -0.0 with +0.0.
+        if np.any(np.signbit(beta) & (beta == 0)):
+            continue
+        kernel, scale = conv_wts["weight"], _bn_scale(bn_wts, bn.params)
+        bias = conv_wts["bias"] if conv_wts["bias"] is not None else np.zeros(kernel.shape[3])
+        negative = scale < 0
+        pool = chain[-1]
+        chains[conv.name] = (
+            Node(pool.name, "pool_first", conv.inputs, pool.params), _pool_first,
+            _Chain(tuple(steps[n.name] for n in chain),
+                   _chain_limit(kernel, bias, bn_wts["mean"], scale, beta),
+                   negative if negative.any() else None))
+    return chains
+
+
+def _pool_first(inputs, chain: _Chain, params):
+    """One block of a conv2d -> batch_norm -> relu -> max_pool2d chain, pooled first.
+
+    The pool takes the window max of the raw GEMM output, or the min where the
+    channel's scale is negative; bias, batch_norm and relu then run on the pooled
+    rows only. Each float32 stage is monotone per channel, so the bits are the plain
+    steps'. Returns None when max|x| exceeds the chain's limit: then no bound shows
+    that every stage stays finite, and the caller runs the plain steps.
+    """
+    (x,) = inputs
+    if not np.abs(x).max() <= chain.limit:
+        return None
+    (conv, _, conv_wts), (bn, bn_apply, bn_wts), (relu, relu_apply, _), _ = chain.steps
+    y = _conv_gemm(x, conv_wts["weight"], conv.params)
+    out = _pool([y], params, np.max)
+    if chain.negative is not None:
+        out[..., chain.negative] = _pool([y[..., chain.negative]], params, np.min)
+    if conv_wts["bias"] is not None:
+        out += conv_wts["bias"]
+    return relu_apply([bn_apply([out], bn_wts, bn.params)], {}, relu.params)
+
+
 def _needed(graph: ModelGraph, target: str, given=()) -> set[str]:
     """Every name ``target`` depends on, not looking past the names in ``given``.
 
@@ -194,14 +310,21 @@ def _needed(graph: ModelGraph, target: str, given=()) -> set[str]:
     return needed
 
 
-def _run(steps, memo: dict, weights: dict) -> None:
-    """Run steps in order into ``memo``, checking that every activation is finite."""
+def _run(steps, memo: dict, weights: dict) -> bool:
+    """Run steps in order into ``memo``, checking that every activation is finite.
+
+    Returns False, with ``memo`` part filled, when a pool-first step declines its block.
+    """
     for node, apply, wts in steps:
         inputs = [memo[r] if r in memo else weights[r] for r in node.inputs]
-        out = np.ascontiguousarray(apply(inputs, wts, node.params), dtype=np.float32)
+        out = apply(inputs, wts, node.params)
+        if out is None:
+            return False
+        out = np.ascontiguousarray(out, dtype=np.float32)
         if not np.isfinite(out).all():
             raise NonFiniteActivation(f"node {node.name!r} produced non-finite values")
         memo[node.name] = out
+    return True
 
 
 class _Evaluation:
@@ -223,7 +346,28 @@ class _Evaluation:
         self._rows = {node.name: np.empty(graph.node_shapes[node.name], dtype=np.float32)
                       for node, _, _ in self._prefix if node.name in read}
         self._blocks = graph._blocks if self._prefix else ()
+        self._fused = None
         self._done = 0
+
+    def _pool_first_plan(self) -> list:
+        """The prefix steps, each chain that runs whole here put as its pool-first step.
+
+        A chain runs whole when all four nodes are steps here (none is seeded) and
+        neither its conv, bn nor relu output is the target. The step takes the conv's
+        place, so every node before it has run, and none after it reads the chain
+        but through the pool.
+        """
+        names = {node.name for node, _, _ in self._prefix}
+        plan, skipped = [], set()
+        for step in self._prefix:
+            fused = self._graph._chains.get(step[0].name)
+            chain = [s[0].name for s in fused[2].steps] if fused else []
+            if chain and names.issuperset(chain) and self._target not in chain[:3]:
+                plan.append(fused)
+                skipped.update(chain)
+            elif step[0].name not in skipped:
+                plan.append(step)
+        return plan
 
     def advance(self, held: int) -> None:
         """Run every block not yet run whose input rows end at or before row ``held``.
@@ -234,9 +378,15 @@ class _Evaluation:
         graph, halos = self._graph, self._graph._halos
         while self._done < len(self._blocks) and self._blocks[self._done][1] <= held:
             r0, end = self._blocks[self._done]
-            memo = {name: value[r0:end - halos[name]] for name, value in self._sources.items()
+            if self._fused is None:
+                self._fused = self._pool_first_plan()
+            rows = {name: value[r0:end - halos[name]] for name, value in self._sources.items()
                     if name in halos}
-            _run(self._prefix, memo, graph.weights)
+            memo = dict(rows)
+            if not _run(self._fused, memo, graph.weights):
+                # Rerun whole, so a non-finite activation is named where the plain steps make it.
+                memo = dict(rows)
+                _run(self._prefix, memo, graph.weights)
             last = end == graph.input_shape[0]
             for name, buf in self._rows.items():
                 part = memo[name] if last else memo[name][:_ROW_BLOCK]

@@ -40,9 +40,8 @@ def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
                       strides=(s0 * sh, s1 * sw, s0, s1, s2))
 
 
-def _conv2d(inputs, wts, params):
-    (x,) = inputs
-    kernel = wts["weight"]
+def _conv_gemm(x, kernel, params):
+    """conv2d's product of ``x`` with ``kernel``, without the bias: (oh, ow, out_ch)."""
     kh, kw, ci, co = kernel.shape
     sh, sw = params["stride"]
     if params["padding"] == "same":
@@ -52,10 +51,12 @@ def _conv2d(inputs, wts, params):
     win = _windows(x, kh, kw, sh, sw)
     oh, ow = win.shape[:2]
     cols = np.ascontiguousarray(win, dtype=F32).reshape(oh * ow, kh * kw * ci)
-    y = cols @ kernel.reshape(kh * kw * ci, co)
-    if wts.get("bias") is not None:
-        y = y + wts["bias"]
-    return y.reshape(oh, ow, co)
+    return (cols @ kernel.reshape(kh * kw * ci, co)).reshape(oh, ow, co)
+
+
+def _conv2d(inputs, wts, params):
+    y = _conv_gemm(inputs[0], wts["weight"], params)
+    return y if wts.get("bias") is None else y + wts["bias"]
 
 
 def _conv2d_shape(in_shapes, wshapes, params):
@@ -102,11 +103,14 @@ def _dense_shape(in_shapes, wshapes, params):
     return (ws[1],)
 
 
+def _bn_scale(wts, params) -> np.ndarray:
+    """batch_norm's per-channel float32 scale, ``gamma / sqrt(variance + epsilon)``."""
+    return wts["gamma"] / np.sqrt(wts["variance"] + F32(params["epsilon"]))
+
+
 def _batch_norm(inputs, wts, params):
     (x,) = inputs
-    eps = F32(params["epsilon"])
-    scale = wts["gamma"] / np.sqrt(wts["variance"] + eps)
-    return (x - wts["mean"]) * scale + wts["beta"]
+    return (x - wts["mean"]) * _bn_scale(wts, params) + wts["beta"]
 
 
 def _batch_norm_shape(in_shapes, wshapes, params):

@@ -354,40 +354,59 @@ class TestResampler:
                 np.einsum("ij,j->i", rows, taps, out=out[1::2])
                 assert np.array_equal(out[1::2].view(np.uint64), gathered.view(np.uint64))
 
-    def test_kernel_evaluated_once_per_phase(self, monkeypatch):
+    @pytest.fixture
+    def i0_sizes(self, monkeypatch):
+        """The size of each np.i0 call made from here on, from an empty phase-table cache."""
+        audio_io._phase_table.cache_clear()
+        sizes, i0 = [], np.i0
+
+        def counting_i0(x):
+            sizes.append(np.size(x))
+            return i0(x)
+
+        monkeypatch.setattr(np, "i0", counting_i0)
+        return sizes
+
+    def test_kernel_evaluated_once_per_phase(self, i0_sizes):
         # 44101 -> 16000 is coprime: up = 16000 phases, more than one block
         # holds. 4 s gives 64000 outputs, so a table per block would evaluate
         # every phase four times.
         source, target = 44101, 16000
         _, _, half = audio_io._kernel_design(source, target)
-        evaluated = []
-        i0 = np.i0
-
-        def counting_i0(x):
-            evaluated.append(np.size(x))
-            return i0(x)
-
-        monkeypatch.setattr(np, "i0", counting_i0)
         x = np.random.default_rng(5).standard_normal(4 * source)
         ms.resample(ms.AudioBuffer(x, source), target)
-        assert sum(evaluated) <= target * (2 * half + 1) + 1
+        assert sum(i0_sizes) <= target * (2 * half + 1) + 1
 
-    def test_short_input_evaluates_only_used_phases(self, monkeypatch):
+    def test_short_input_evaluates_only_used_phases(self, i0_sizes):
         # 7 samples at 44101 Hz give 3 outputs at 16000 Hz; the 16000-phase
         # table would evaluate more than 5000 times as many taps.
         source, target = 44101, 16000
         _, _, half = audio_io._kernel_design(source, target)
-        evaluated = []
-        i0 = np.i0
-
-        def counting_i0(x):
-            evaluated.append(np.size(x))
-            return i0(x)
-
-        monkeypatch.setattr(np, "i0", counting_i0)
         x = np.random.default_rng(7).standard_normal(7)
         out = ms.resample(ms.AudioBuffer(x, source), target).samples
-        assert sum(evaluated) <= out.size * (2 * half + 1) + 1
+        assert sum(i0_sizes) <= out.size * (2 * half + 1) + 1
+
+    @pytest.mark.parametrize("seconds", [4.0, 1e-3])
+    def test_second_call_at_a_pair_evaluates_no_kernel(self, i0_sizes, seconds):
+        # Both sides of the phase/gather rule: the table is built once per
+        # (pair, rows) and every later call reads it, with the same bits.
+        source, target = 44100, 16000
+        x = np.random.default_rng(9).standard_normal(int(seconds * source))
+        first = ms.resample(ms.AudioBuffer(x, source), target).samples
+        assert i0_sizes
+        i0_sizes.clear()
+        second = ms.resample(ms.AudioBuffer(x[::-1].copy(), source), target).samples
+        again = ms.resample(ms.AudioBuffer(x, source), target).samples
+        assert i0_sizes == []
+        assert np.array_equal(again.view(np.uint64), first.view(np.uint64))
+        assert np.array_equal(second.view(np.uint64),
+                              ref_resample_blocked(x[::-1].copy(), source, target).view(np.uint64))
+
+    def test_cached_table_is_read_only(self):
+        table, tap_sums = audio_io._phase_table(44100, 16000, 160)
+        for arr in (table, tap_sums):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     @pytest.mark.parametrize("source,target", [(384001, 16000), (16000, 384001)])
     def test_rates_above_cap_rejected(self, source, target):

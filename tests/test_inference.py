@@ -424,6 +424,120 @@ class TestTimeLocalPrefix:
             ms.forward(g, x)
 
 
+def _chain_graph(gamma, beta, extra=(), mean=0.0, bias=None, ones=False):
+    """conv -> bn -> relu -> pool over (40, 9, 2), the pool taking (1, 4) windows 2 apart.
+
+    Small integer inputs and taps make exact ties and signed zeros in the windows.
+    """
+    c = len(gamma)
+    taps = np.random.default_rng(c).integers(-1, 2, (3, 2, 2, c)) if not ones else np.ones((3, 2, 2, c))
+    weights = {"k": taps.astype(np.float32),
+               "g": np.asarray(gamma, dtype=np.float32), "b": np.asarray(beta, dtype=np.float32),
+               "m": np.full(c, mean, dtype=np.float32), "v": np.ones(c, dtype=np.float32)}
+    conv = {"weight": "k"}
+    if bias is not None:
+        weights["bias"] = np.asarray(bias, dtype=np.float32)
+        conv["bias"] = "bias"
+    nodes = [ms.Node("conv", "conv2d", ("in",), conv),
+             ms.Node("bn", "batch_norm", ("conv",),
+                     {"gamma": "g", "beta": "b", "mean": "m", "variance": "v", "epsilon": 0.0}),
+             ms.Node("relu", "relu", ("bn",), {}),
+             ms.Node("pool", "max_pool2d", ("relu",), {"pool": (1, 4), "stride": (1, 2)}),
+             *extra]
+    return build(nodes, weights, (40, 9, 2), "pool")
+
+
+def _plain_pool(graph, relu):
+    """The max_pool2d step on its own, after a forward that stopped at its relu."""
+    pool = graph.nodes[3]
+    return op_def("max_pool2d").apply([relu], {}, pool.params)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def _plan_ops(graph, target, sources):
+    return [node.op for node, _, _ in
+            graph_module._Evaluation(graph, target, sources)._pool_first_plan()]
+
+
+class TestPoolFirst:
+    """conv2d -> batch_norm -> relu -> max_pool2d chains run pooled first, with the same bits."""
+
+    @pytest.mark.parametrize("gamma, beta, bias", [
+        ([1.0, 0.5, 2.0], [0.0, 0.25, -1.0], None),
+        ([-1.0, -0.5, -2.0], [0.0, 0.25, -1.0], [0.5, -0.0, 0.0]),
+        ([0.0, -0.0, 0.0], [0.0, 0.25, -1.0], [1.0, 2.0, -0.0]),
+        ([1.0, -1.0, 0.0, -0.0, 3.0, -0.25], [0.0, 0.0, 0.5, -0.5, 0.0, 1.0], None),
+    ])
+    @pytest.mark.parametrize("mean", [0.0, -0.0, 0.5])
+    def test_matches_the_plain_steps(self, gamma, beta, bias, mean):
+        g = _chain_graph(gamma, beta, mean=mean, bias=bias)
+        assert "conv" in g._chains and _plan_ops(g, "pool", {"in": None}) == ["pool_first"]
+        for seed in range(4):
+            x = np.random.default_rng(seed).integers(-1, 2, (40, 9, 2)).astype(np.float32)
+            x[seed::3] *= -0.0
+            assert np.abs(x).max() <= g._chains["conv"][2].limit
+            fused = ms.forward(g, x)
+            assert np.array_equal(_bits(fused), _bits(_plain_pool(g, ms.forward(g, x, "relu"))))
+
+    def test_negative_zero_beta_runs_plain(self):
+        g = _chain_graph([-1.0, 1.0], [-0.0, 0.5])
+        assert "conv" not in g._chains
+        assert _plan_ops(g, "pool", {"in": None}) == ["conv2d", "batch_norm", "relu", "max_pool2d"]
+        x = np.random.default_rng(3).integers(-1, 2, (40, 9, 2)).astype(np.float32)
+        assert np.array_equal(_bits(ms.forward(g, x)),
+                              _bits(_plain_pool(g, ms.forward(g, x, "relu"))))
+
+    @pytest.mark.parametrize("read", ["conv", "bn", "relu"])
+    def test_an_output_with_a_second_reader_runs_plain(self, read):
+        g = _chain_graph([1.0, -1.0], [0.5, 0.0], extra=[ms.Node("side", "sigmoid", (read,), {})])
+        assert g._chains == {}
+
+    @pytest.mark.parametrize("until", ["conv", "bn", "relu"])
+    def test_until_an_intermediate_runs_plain(self, until):
+        g = _chain_graph([1.0, -1.0], [0.5, 0.0])
+        assert "pool_first" not in _plan_ops(g, until, {"in": None})
+        x = np.random.default_rng(4).integers(-1, 2, (40, 9, 2)).astype(np.float32)
+        ref = _whole(g, x)
+        assert np.array_equal(_bits(ms.forward(g, x, until)), _bits(ref[until]))
+
+    @pytest.mark.parametrize("seed_at", ["conv", "bn", "relu"])
+    def test_a_seeded_intermediate_runs_plain(self, seed_at):
+        g = _chain_graph([1.0, -1.0], [0.5, 0.0])
+        x = np.random.default_rng(5).integers(-1, 2, (40, 9, 2)).astype(np.float32)
+        ref = _whole(g, x)
+        seeds = {"in": x, seed_at: ref[seed_at]}
+        assert "pool_first" not in _plan_ops(g, "pool", seeds)
+        assert np.array_equal(_bits(ms.forward_from(g, seeds)), _bits(ref["pool"]))
+
+    def test_bn_overflow_off_the_window_max_names_the_bn(self):
+        # Every window's max is 12, which channel 0's scale of 1e30 keeps finite; the
+        # sums over the -1e10 inputs overflow to -inf at the bn, so the block runs plain.
+        g = _chain_graph([1e30, 1.0], [0.0, 0.0], ones=True)
+        x = np.ones((40, 9, 2), dtype=np.float32)
+        x[5, 1, :] = -1e10
+        assert not np.abs(x).max() <= g._chains["conv"][2].limit
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteActivation, match="'bn'"):
+            ms.forward(g, x)
+
+    def test_valid_cnn_chain_is_fused_and_bit_exact(self):
+        g = valid_cnn()
+        assert set(g._chains) == {"a_conv"}
+        x = np.random.default_rng(32).uniform(-3.0, 3.0, (40, 24, 1)).astype(np.float32)
+        assert np.array_equal(_bits(ms.forward(g, x, "a_pool")),
+                              _bits(op_def("max_pool2d").apply(
+                                  [ms.forward(g, x, "a_relu")], {}, {"pool": (1, 7), "stride": None})))
+
+    def test_plan_is_built_by_the_first_block_not_at_load(self, tmp_path):
+        g = valid_cnn()
+        ms.StreamPipeline(model=g)
+        assert "_chains" not in vars(g)
+        ms.forward(g, np.zeros((40, 24, 1), dtype=np.float32))
+        assert "_chains" in vars(g)
+
+
 class TestForward:
     def test_input_shape_checked(self):
         g = single_op("relu", {}, (4,))

@@ -13,10 +13,11 @@ and workload, at seed 1, follows. Every run lasts the benchmark's
 
 The output JSON holds the host line, and for each workload and side the
 median and quartiles of every end-to-end metric, the digest of each run,
-the failed and attempted counts and the per-layer metrics of the traced
-run; plus whether the two sides' digests are equal seed for seed and, per
-metric, how many pairs the change won (ties count for neither). The
-temporary trees are removed when the script ends.
+the failed and attempted counts, and the traced run's per-layer metrics,
+``correct`` flag and failed count; plus whether the two sides' digests are
+equal seed for seed and, per metric, how many pairs the change won (ties
+count for neither). The script exits 1 when any run, traced or not, reports
+``"correct": false``. The temporary trees are removed when it ends.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def _side(results: list[dict], traced: dict) -> dict:
         "failed": sum(r["failed"] for r in results),
         "attempted": sum(r["attempted"] for r in results),
         "traced": {name: m["value"] for name, m in traced["metrics"].items()},
+        "traced_correct": traced["correct"],
+        "traced_failed": traced["failed"],
     }
 
 
@@ -97,6 +100,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seeds = list(range(1, args.pairs + 1))
 
+    incorrect = []
     scratch = Path(tempfile.mkdtemp(prefix="bench_record-"))
     try:
         sides = ("parent", "change")
@@ -126,8 +130,14 @@ def main(argv=None) -> int:
                 for name in entry["parent"]["metrics"]}
             record["workloads"][workload] = entry
             args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+            incorrect += [f"{workload} {side}{' traced' if traced else ''}" for side in sides
+                          for traced in (False, True)
+                          if not entry[side]["traced_correct" if traced else "correct"]]
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    if incorrect:
+        print(f"incorrect runs: {', '.join(incorrect)}", file=sys.stderr)
+        return 1
     return 0
 
 
