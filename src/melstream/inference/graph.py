@@ -212,6 +212,10 @@ class _Chain(NamedTuple):
     limit: float  # the largest max|x| of a conv input for which no stage can overflow
     negative: np.ndarray | None  # channels with a negative scale, pooled by their min
 
+    @property
+    def names(self) -> list[str]:
+        return [node.name for node, _, _ in self.steps]
+
 
 def _chain_limit(kernel, bias, mean, scale, beta) -> float:
     """The largest max|x| of a conv input for which no stage of a chain can overflow.
@@ -241,21 +245,22 @@ def _chain_limit(kernel, bias, mean, scale, beta) -> float:
 
 
 def _pool_first_chains(graph: ModelGraph) -> dict:
-    """Find the prefix chains whose conv, bn and relu outputs have one reader each."""
+    """The pool-first step of each prefix chain whose conv, bn and relu outputs have one
+    reader each, by conv name; a step is (node named as the pool, kernel, ``_Chain``)."""
     readers: dict[str, list] = {}
     for node in graph.nodes:
         for ref in node.inputs:
             readers.setdefault(ref, []).append(node)
     steps = {step[0].name: step for step in graph._steps}
     chains = {}
-    for conv in graph.nodes:
+    for conv in (node for node in graph.nodes if node.op == "conv2d"):
         chain = [conv]
         for op in ("batch_norm", "relu", "max_pool2d"):
             after = readers.get(chain[-1].name, [])
             if len(after) != 1 or after[0].op != op:
                 break
             chain.append(after[0])
-        if conv.op != "conv2d" or len(chain) < 4 or chain[-1].name not in graph._halos:
+        if len(chain) < 4 or chain[-1].name not in graph._halos:
             continue
         (_, _, conv_wts), (bn, _, bn_wts) = steps[conv.name], steps[chain[1].name]
         beta = bn_wts["beta"]
@@ -266,9 +271,8 @@ def _pool_first_chains(graph: ModelGraph) -> dict:
         kernel, scale = conv_wts["weight"], _bn_scale(bn_wts, bn.params)
         bias = conv_wts["bias"] if conv_wts["bias"] is not None else np.zeros(kernel.shape[3])
         negative = scale < 0
-        pool = chain[-1]
         chains[conv.name] = (
-            Node(pool.name, "pool_first", conv.inputs, pool.params), _pool_first,
+            Node(chain[-1].name, "pool_first", conv.inputs, chain[-1].params), _pool_first,
             _Chain(tuple(steps[n.name] for n in chain),
                    _chain_limit(kernel, bias, bn_wts["mean"], scale, beta),
                    negative if negative.any() else None))
@@ -358,16 +362,10 @@ class _Evaluation:
         but through the pool.
         """
         names = {node.name for node, _, _ in self._prefix}
-        plan, skipped = [], set()
-        for step in self._prefix:
-            fused = self._graph._chains.get(step[0].name)
-            chain = [s[0].name for s in fused[2].steps] if fused else []
-            if chain and names.issuperset(chain) and self._target not in chain[:3]:
-                plan.append(fused)
-                skipped.update(chain)
-            elif step[0].name not in skipped:
-                plan.append(step)
-        return plan
+        fused = {conv: step for conv, step in self._graph._chains.items()
+                 if names.issuperset(step[2].names) and self._target not in step[2].names[:3]}
+        skip = {name for step in fused.values() for name in step[2].names[1:]}
+        return [fused.get(s[0].name, s) for s in self._prefix if s[0].name not in skip]
 
     def advance(self, held: int) -> None:
         """Run every block not yet run whose input rows end at or before row ``held``.
