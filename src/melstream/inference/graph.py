@@ -23,8 +23,9 @@ bits are the plain steps'; a chain with a -0.0 beta, or whose conv, bn or
 relu output is the target or a seed, runs plain. The full-tensor finite
 checks of those stages give way to a bound: one ``max|x|`` of the block's
 conv input, against a per-chain limit under which no stage can overflow
-(``_chain_limit``). A block where the bound does not hold runs again as the
-plain steps, which name the node that makes a non-finite value.
+(``_chain_limit``). Where a block's input exceeds the limit, that chain runs
+as its plain steps on the same input, which name the node that makes a
+non-finite value.
 """
 
 from __future__ import annotations
@@ -285,13 +286,15 @@ def _pool_first(inputs, chain: _Chain, params):
     The pool takes the window max of the raw GEMM output, or the min where the
     channel's scale is negative; bias, batch_norm and relu then run on the pooled
     rows only. Each float32 stage is monotone per channel, so the bits are the plain
-    steps'. Returns None when max|x| exceeds the chain's limit: then no bound shows
-    that every stage stays finite, and the caller runs the plain steps.
+    steps'. When max|x| exceeds the chain's limit, no bound shows that every stage
+    stays finite, so that chain runs as its plain steps.
     """
     (x,) = inputs
+    (conv, _, conv_wts), (bn, bn_apply, bn_wts), (relu, relu_apply, _), (pool, _, _) = chain.steps
     if not np.abs(x).max() <= chain.limit:
-        return None
-    (conv, _, conv_wts), (bn, bn_apply, bn_wts), (relu, relu_apply, _), _ = chain.steps
+        memo = {conv.inputs[0]: x}
+        _run(chain.steps, memo, {})
+        return memo[pool.name]
     y = _conv_gemm(x, conv_wts["weight"], conv.params)
     out = _pool([y], params, np.max)
     if chain.negative is not None:
@@ -314,21 +317,15 @@ def _needed(graph: ModelGraph, target: str, given=()) -> set[str]:
     return needed
 
 
-def _run(steps, memo: dict, weights: dict) -> bool:
-    """Run steps in order into ``memo``, checking that every activation is finite.
-
-    Returns False, with ``memo`` part filled, when a pool-first step declines its block.
-    """
+def _run(steps, memo: dict, weights: dict) -> None:
+    """Run steps in order into ``memo``, checking that every activation is finite."""
     for node, apply, wts in steps:
         inputs = [memo[r] if r in memo else weights[r] for r in node.inputs]
         out = apply(inputs, wts, node.params)
-        if out is None:
-            return False
         out = np.ascontiguousarray(out, dtype=np.float32)
         if not np.isfinite(out).all():
             raise NonFiniteActivation(f"node {node.name!r} produced non-finite values")
         memo[node.name] = out
-    return True
 
 
 class _Evaluation:
@@ -378,13 +375,9 @@ class _Evaluation:
             r0, end = self._blocks[self._done]
             if self._fused is None:
                 self._fused = self._pool_first_plan()
-            rows = {name: value[r0:end - halos[name]] for name, value in self._sources.items()
+            memo = {name: value[r0:end - halos[name]] for name, value in self._sources.items()
                     if name in halos}
-            memo = dict(rows)
-            if not _run(self._fused, memo, graph.weights):
-                # Rerun whole, so a non-finite activation is named where the plain steps make it.
-                memo = dict(rows)
-                _run(self._prefix, memo, graph.weights)
+            _run(self._fused, memo, graph.weights)
             last = end == graph.input_shape[0]
             for name, buf in self._rows.items():
                 part = memo[name] if last else memo[name][:_ROW_BLOCK]

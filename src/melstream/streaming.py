@@ -25,13 +25,14 @@ state changes.
 
 Between pushes the pipeline holds fewer than one frame of samples, fewer
 than one patch of mel rows and one patch of prefix rows, so memory stays
-bounded no matter how the input is chunked.
+bounded no matter how the input is chunked. It keeps no wall clock:
+``algorithmic_latency`` is the samples it takes in before its first
+output, one frame and, with a model, a patch's further hops.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +49,6 @@ class PushResult:
 
     frames: np.ndarray          # (k, n_mels); k may be 0
     patch_outputs: np.ndarray   # (m, out_dim); empty (0, 0) without a model
-
-
-@dataclass
-class LatencyReport:
-    algorithmic_latency: int            # samples before the first output
-    per_chunk_wall_time: dict = field(default_factory=dict)
 
 
 class StreamPipeline:
@@ -84,14 +79,15 @@ class StreamPipeline:
         self._tail = np.zeros(config.frame_size)
         self._tail_held = 0
         self._patch_held = 0
+        self.algorithmic_latency = config.frame_size
         if model is not None:
+            self.algorithmic_latency += (model.patch_frames - 1) * config.hop_size
             # The held patch, viewed once as the model's input; a model that cannot take a
             # (patch_frames, n_mels) patch fails here, not at the first patch.
             self._patch = np.zeros((model.patch_frames, config.n_mels), dtype=np.float32)
             self._eval = _Evaluation(model, model.output_name,
                                      {model.input_name: patch_to_input(self._patch, model)})
         self._flushed = False
-        self._pushes, self._push_total, self._push_min, self._push_max = 0, 0.0, float("inf"), 0.0
         self.frames_emitted = 0
         self.patches_emitted = 0
 
@@ -123,7 +119,6 @@ class StreamPipeline:
         # signalling NaN warns. count_nonzero takes ~1.2 µs on 256 samples, .all() ~2 µs.
         if np.count_nonzero(np.isfinite(chunk)) < chunk.size:
             raise UnsupportedFormat("stream chunk contains non-finite samples")
-        start = time.perf_counter()
         x = np.concatenate((self._tail[:self._tail_held], chunk), dtype=np.float64)
         segments = _frame_view(x, cfg.frame_size, cfg.hop_size)
         t = len(segments)
@@ -135,11 +130,6 @@ class StreamPipeline:
         self._tail_held = rest.size
         self.frames_emitted += t
         patches = self._patches(frames) if self.model is not None else []
-        elapsed = time.perf_counter() - start
-        self._pushes += 1
-        self._push_total += elapsed
-        self._push_min = min(self._push_min, elapsed)
-        self._push_max = max(self._push_max, elapsed)
         return PushResult(frames=frames, patch_outputs=_stack(patches))
 
     def flush(self) -> PushResult:
@@ -148,22 +138,6 @@ class StreamPipeline:
             raise AlreadyFlushed("flush called twice")
         self._flushed = True
         return PushResult(frames=np.empty((0, self.config.n_mels)), patch_outputs=_stack([]))
-
-    def latency_report(self) -> LatencyReport:
-        """Algorithmic latency plus wall-time stats over the pushes so far."""
-        if not self._pushes:
-            raise ValueError("latency_report needs at least one processed chunk")
-        cfg = self.config
-        if self.model is None:
-            latency = cfg.frame_size
-        else:
-            latency = cfg.frame_size + (self.model.patch_frames - 1) * cfg.hop_size
-        return LatencyReport(
-            algorithmic_latency=latency,
-            per_chunk_wall_time={"min": self._push_min,
-                                 "mean": self._push_total / self._pushes,
-                                 "max": self._push_max, "chunks": self._pushes},
-        )
 
 
 def _stack(patches: list) -> np.ndarray:

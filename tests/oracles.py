@@ -2,7 +2,10 @@
 
 Everything here is written from the documented contracts with plain
 loops, explicit DFT matrices and float64 math. Nothing imports from
-melstream, so agreement between the two is meaningful.
+melstream, so agreement between the two is meaningful. The one exception
+is :func:`ref_forward`: it composes the package's own op kernels, so that
+the graph evaluation around them (row blocks, pool-first chains) is
+checked bit for bit, while the loop references below check the kernels.
 """
 
 import math
@@ -321,6 +324,25 @@ def ref_sigmoid(x):
 def ref_softmax(x):
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_forward(graph, x) -> dict:
+    """Every activation of ``graph`` on input ``x``, by name, the input included.
+
+    Each node runs once, in order, on whole tensors through its op's kernel
+    ``ops.OPS[op].apply``: no row blocks, no pool-first chains.
+    """
+    from melstream.inference.ops import OPS
+
+    memo = {graph.input_name: np.ascontiguousarray(x, dtype=np.float32)}
+    for node in graph.nodes:
+        op = OPS[node.op]
+        wts = {p: None if node.params[p] is None else graph.weights[node.params[p]]
+               for p, (kind, _) in op.params.items() if kind == "weight"}
+        inputs = [memo[r] if r in memo else graph.weights[r] for r in node.inputs]
+        memo[node.name] = np.ascontiguousarray(op.apply(inputs, wts, node.params),
+                                               dtype=np.float32)
+    return memo
 
 
 # -- metrics ------------------------------------------------------------------

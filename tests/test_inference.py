@@ -342,18 +342,6 @@ class TestFrozenGraph:
         assert g.labels == ("label0", "label1", "label2") and g.patch_frames == 186
 
 
-def _whole(graph, x):
-    """Every node's activation, each node run once on whole tensors (no row blocks)."""
-    memo = {graph.input_name: np.ascontiguousarray(x, dtype=np.float32)}
-    for node in graph.nodes:
-        wts = {p: None if node.params[p] is None else graph.weights[node.params[p]]
-               for p, (kind, _) in op_def(node.op).params.items() if kind == "weight"}
-        inputs = [memo[r] if r in memo else graph.weights[r] for r in node.inputs]
-        out = op_def(node.op).apply(inputs, wts, node.params)
-        memo[node.name] = np.ascontiguousarray(out, dtype=np.float32)
-    return memo
-
-
 class TestTimeLocalPrefix:
     def test_prefix_ends_at_the_concat(self, monkeypatch):
         monkeypatch.setattr(graph_module, "_ROW_BLOCK", 16)
@@ -408,7 +396,7 @@ class TestTimeLocalPrefix:
         monkeypatch.setattr(graph_module, "_ROW_BLOCK", block)
         g = valid_cnn()
         x = np.random.default_rng(31).uniform(0.5, 3.0, (40, 24, 1)).astype(np.float32)
-        ref = _whole(g, x)
+        ref = oracles.ref_forward(g, x)
         for until in (None, "front", "a_relu", "e_pool", "flat"):
             np.testing.assert_allclose(ms.forward(g, x, until), ref[until or g.output_name],
                                        rtol=1e-5, atol=1e-6)
@@ -500,14 +488,14 @@ class TestPoolFirst:
         g = _chain_graph([1.0, -1.0], [0.5, 0.0])
         assert "pool_first" not in _plan_ops(g, until, {"in": None})
         x = np.random.default_rng(4).integers(-1, 2, (40, 9, 2)).astype(np.float32)
-        ref = _whole(g, x)
+        ref = oracles.ref_forward(g, x)
         assert np.array_equal(_bits(ms.forward(g, x, until)), _bits(ref[until]))
 
     @pytest.mark.parametrize("seed_at", ["conv", "bn", "relu"])
     def test_a_seeded_intermediate_runs_plain(self, seed_at):
         g = _chain_graph([1.0, -1.0], [0.5, 0.0])
         x = np.random.default_rng(5).integers(-1, 2, (40, 9, 2)).astype(np.float32)
-        ref = _whole(g, x)
+        ref = oracles.ref_forward(g, x)
         seeds = {"in": x, seed_at: ref[seed_at]}
         assert "pool_first" not in _plan_ops(g, "pool", seeds)
         assert np.array_equal(_bits(ms.forward_from(g, seeds)), _bits(ref["pool"]))
@@ -521,6 +509,15 @@ class TestPoolFirst:
         assert not np.abs(x).max() <= g._chains["conv"][2].limit
         with np.errstate(over="ignore"), pytest.raises(NonFiniteActivation, match="'bn'"):
             ms.forward(g, x)
+
+    def test_a_finite_block_over_the_bound_runs_its_plain_steps(self):
+        g = _chain_graph([1.0, 1.0], [0.0, 0.5], ones=True)
+        x = np.zeros((40, 9, 2), dtype=np.float32)
+        x[20, 4, 1] = 1.5 * g._chains["conv"][2].limit
+        assert not np.abs(x).max() <= g._chains["conv"][2].limit
+        fused = ms.forward(g, x)
+        assert np.isfinite(fused).all()
+        assert np.array_equal(_bits(fused), _bits(_plain_pool(g, ms.forward(g, x, "relu"))))
 
     def test_valid_cnn_chain_is_fused_and_bit_exact(self):
         g = valid_cnn()

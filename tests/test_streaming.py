@@ -302,7 +302,7 @@ class TestNonFinite:
             pipe.push(poisoned)
         rest, _ = stream_all(pipe, x[300:], [400])
         assert np.array_equal(np.concatenate((first, rest)), offline)
-        assert pipe.latency_report().per_chunk_wall_time["chunks"] == 2
+        assert pipe.frames_emitted == len(offline)
 
     def test_float32_signalling_nan(self):
         # Refused before the chunk is widened to float64, which would warn first.
@@ -346,30 +346,26 @@ class TestChunkShape:
             pipe.push(np.full(shape, 0.25))
         chunks = [600] * -(-(x.size - 3000) // 600)
         frames, patches = stream_all(pipe, x[3000:], chunks)
-        assert np.array_equal(np.concatenate((first.frames, frames)),
-                              ms.mel_spectrogram(buf, graph.feature_config).frames)
+        offline = ms.mel_spectrogram(buf, graph.feature_config).frames
+        assert np.array_equal(np.concatenate((first.frames, frames)), offline)
         assert np.array_equal(np.concatenate((first.patch_outputs, patches)),
                               ms.predict(graph, buf).per_patch)
-        assert pipe.latency_report().per_chunk_wall_time["chunks"] == 1 + len(chunks)
+        assert pipe.frames_emitted == len(offline)
 
 
 class TestLatency:
     def test_frame_latency(self):
-        cfg = ms.preset("musicnn-96")
-        pipe = ms.StreamPipeline(config=cfg, sample_rate=16000)
-        pipe.push(np.zeros(1024))
-        rep = pipe.latency_report()
-        assert rep.algorithmic_latency == 512
-        assert rep.per_chunk_wall_time["chunks"] == 1
-        assert rep.per_chunk_wall_time["min"] <= rep.per_chunk_wall_time["mean"]
+        pipe = ms.StreamPipeline(config=ms.preset("musicnn-96"), sample_rate=16000)
+        assert pipe.algorithmic_latency == 512
 
     def test_patch_latency(self):
         graph = linear_classifier(patch_frames=186)
         pipe = ms.StreamPipeline(model=graph)
-        pipe.push(np.zeros(100))
         # first patch completes once frame 186 is done:
         # 512 samples for the first frame, then 185 further hops of 256
-        assert pipe.latency_report().algorithmic_latency == 512 + 185 * 256 == 47872
+        assert pipe.algorithmic_latency == 512 + 185 * 256 == 47872
+        assert len(pipe.push(np.zeros(47871)).patch_outputs) == 0
+        assert len(pipe.push(np.zeros(1)).patch_outputs) == 1
 
     def test_push_stats_do_not_grow_with_pushes(self):
         def sizes(pipe):
@@ -384,15 +380,8 @@ class TestLatency:
             for _ in range(10 ** 4 - 10):
                 pipe.push(np.zeros(16))
             assert sizes(pipe) == before
-            wall = pipe.latency_report().per_chunk_wall_time
-            assert wall["chunks"] == 10 ** 4
-            assert 0.0 <= wall["min"] <= wall["max"]
-            assert wall["min"] * (1 - 1e-9) <= wall["mean"] <= wall["max"] * (1 + 1e-9)
-
-    def test_report_requires_a_push(self):
-        pipe = ms.StreamPipeline(config=ms.preset("vgg-64"), sample_rate=16000)
-        with pytest.raises(ValueError):
-            pipe.latency_report()
+            cfg = pipe.config
+            assert pipe.frames_emitted == ms.frame_count(16 * 10 ** 4, cfg.frame_size, cfg.hop_size)
 
     def test_first_emission_at_latency_boundary(self):
         cfg = ms.preset("musicnn-96")

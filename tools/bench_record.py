@@ -7,17 +7,18 @@ Each revision's committed files are exported with ``git archive`` into a
 temporary directory, so both sides run as clean checkouts and uncommitted
 edits take no part. For every workload in ``BENCHMARK.json`` and seeds 1 to
 ``--pairs``, ``melbench/run.py --trace 0`` runs once in each tree; the side
-that runs first alternates from pair to pair. One ``--trace 1`` run per side
-and workload, at seed 1, follows. Every run lasts the benchmark's
-``run_seconds``.
+that runs first alternates from pair to pair. Traced pairs (``--trace 1``)
+follow in the same way at the first five of those seeds. Every run lasts
+the benchmark's ``run_seconds``.
 
 The output JSON holds the host line, and for each workload and side the
 median and quartiles of every end-to-end metric, the digest of each run,
-the failed and attempted counts, and the traced run's per-layer metrics,
-``correct`` flag and failed count; plus whether the two sides' digests are
-equal seed for seed and, per metric, how many pairs the change won (ties
-count for neither). The script exits 1 when any run, traced or not, reports
-``"correct": false``. The temporary trees are removed when it ends.
+the failed and attempted counts, and the median of each per-layer metric
+over the traced runs, whether every traced run was correct and their
+failed count; plus whether the two sides' digests are equal seed for seed
+and, per metric, how many pairs the change won (ties count for neither).
+The script exits 1 when any run, traced or not, reports ``"correct":
+false``. The temporary trees are removed when it ends.
 """
 
 from __future__ import annotations
@@ -72,7 +73,22 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def _side(results: list[dict], traced: dict) -> dict:
+def _pairs(trees: dict, command: list[str], workload: str, seeds: list[int], seconds: float,
+           trace: int) -> dict:
+    """One run per side and seed; the side that runs first alternates from seed to seed."""
+    sides = tuple(trees)
+    runs = {side: [] for side in sides}
+    for i, seed in enumerate(seeds):
+        for side in (sides if i % 2 == 0 else sides[::-1]):
+            result = _run(trees[side], command, workload, seed, seconds, trace)
+            runs[side].append(result)
+            print(f"{workload} seed {seed} {side}{' traced' if trace else ''}: " + " ".join(
+                f"{k}={m['value']:.4g}" for k, m in result["metrics"].items()),
+                file=sys.stderr, flush=True)
+    return runs
+
+
+def _side(results: list[dict], traced: list[dict]) -> dict:
     names = results[0]["metrics"]
     return {
         "metrics": {name: {"unit": results[0]["metrics"][name]["unit"],
@@ -82,9 +98,10 @@ def _side(results: list[dict], traced: dict) -> dict:
         "correct": all(r["correct"] for r in results),
         "failed": sum(r["failed"] for r in results),
         "attempted": sum(r["attempted"] for r in results),
-        "traced": {name: m["value"] for name, m in traced["metrics"].items()},
-        "traced_correct": traced["correct"],
-        "traced_failed": traced["failed"],
+        "traced": {name: statistics.median(r["metrics"][name]["value"] for r in traced)
+                   for name in traced[0]["metrics"]},
+        "traced_correct": all(r["correct"] for r in traced),
+        "traced_failed": sum(r["failed"] for r in traced),
     }
 
 
@@ -109,18 +126,10 @@ def main(argv=None) -> int:
         record = {"command": bench["command"], "seconds": seconds, "seeds": seeds,
                   "revisions": revs, "workloads": {}}
         for workload in (w["name"] for w in bench["workloads"]):
-            runs = {side: [] for side in sides}
-            for i, seed in enumerate(seeds):
-                for side in (sides if i % 2 == 0 else sides[::-1]):
-                    result = _run(trees[side], bench["command"], workload, seed, seconds, 0)
-                    runs[side].append(result)
-                    record.setdefault("host", result["host"])
-                    print(f"{workload} seed {seed} {side}: " + " ".join(
-                        f"{k}={m['value']:.4g}" for k, m in result["metrics"].items()),
-                        file=sys.stderr, flush=True)
-            entry = {side: _side(runs[side], _run(trees[side], bench["command"], workload,
-                                                  seeds[0], seconds, 1))
-                     for side in sides}
+            runs = _pairs(trees, bench["command"], workload, seeds, seconds, 0)
+            record.setdefault("host", runs["parent"][0]["host"])
+            traced = _pairs(trees, bench["command"], workload, seeds[:5], seconds, 1)
+            entry = {side: _side(runs[side], traced[side]) for side in sides}
             entry["digests_equal"] = entry["parent"]["digests"] == entry["change"]["digests"]
             # A pair is won when the change reads better than the parent at the same seed.
             entry["change_wins"] = {
