@@ -512,9 +512,10 @@ class TestPoolFirst:
 
     def test_a_finite_block_over_the_bound_runs_its_plain_steps(self):
         g = _chain_graph([1.0, 1.0], [0.0, 0.5], ones=True)
+        limit = g._chains["conv"][2].limit
         x = np.zeros((40, 9, 2), dtype=np.float32)
-        x[20, 4, 1] = 1.5 * g._chains["conv"][2].limit
-        assert not np.abs(x).max() <= g._chains["conv"][2].limit
+        x[20, 4, 1] = 1.5 * limit
+        assert not np.abs(x).max() <= limit
         fused = ms.forward(g, x)
         assert np.isfinite(fused).all()
         assert np.array_equal(_bits(fused), _bits(_plain_pool(g, ms.forward(g, x, "relu"))))
